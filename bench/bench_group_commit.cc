@@ -3,18 +3,16 @@
 // "If an update rate faster than [~15 updates/s] were needed, the implementation
 // could be speeded up considerably, most obviously by ... arranging to record
 // multiple commit records in a single log entry." This bench drives K concurrent
-// updaters through the engine twice — once with the group-commit pipeline (the
-// default) and once with the serial one-fsync-per-update path — and reports
-// fsyncs/update and updates/s on both backends:
+// updaters through the engine twice — once with the group-commit pipeline at its
+// default batch bound, and once with max_batch_records = 1, the paper's
+// one-fsync-per-update protocol ("serial" rows) — and reports fsyncs/update and
+// updates/s on both backends:
 //
 //   - SimFs: the simulated MicroVAX-era disk; elapsed is simulated time, so the win
 //     is the charged seek/transfer cost of the syncs themselves. A small wall-clock
 //     dilation of each fsync stands in for device latency so threads interleave the
 //     way they would against real hardware.
 //   - PosixFs: the host file system; elapsed is wall-clock and the fsyncs are real.
-//
-// Also reports single-threaded update latency pipeline-vs-serial: the pipeline must
-// be within noise when there is nothing to coalesce.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -91,12 +89,12 @@ struct RunResult {
   double elapsed_micros = 0;  // simulated (SimFs) or wall (PosixFs)
   std::uint64_t updates = 0;
   std::uint64_t fsyncs = 0;
-  double records_per_sync = 0;
   std::string metrics_json;  // the database's registry dump at end of run
 };
 
 // Drives `threads` workers, kTotalUpdates updates in total, against a database in
-// `dir` on `vfs`. Returns the fsyncs attributable to update commits.
+// `dir` on `vfs`; `pipeline` false seals one record per batch. Returns the fsyncs
+// attributable to update commits.
 RunResult RunWorkload(Vfs& vfs, Clock& clock, const std::string& dir, int threads,
                       bool pipeline) {
   BenchKvApp app;
@@ -104,7 +102,9 @@ RunResult RunWorkload(Vfs& vfs, Clock& clock, const std::string& dir, int thread
   options.vfs = &vfs;
   options.dir = dir;
   options.clock = &clock;
-  options.group_commit.enabled = pipeline;
+  if (!pipeline) {
+    options.group_commit.max_batch_records = 1;
+  }
 
   auto db_or = Database::Open(app, options);
   if (!db_or.ok()) {
@@ -112,7 +112,6 @@ RunResult RunWorkload(Vfs& vfs, Clock& clock, const std::string& dir, int thread
     std::abort();
   }
   std::unique_ptr<Database> db = std::move(*db_or);
-  std::uint64_t fsyncs_before = db->log_writer_stats().commits;
 
   RunResult result;
   int per_thread = TotalUpdates() / threads;
@@ -147,16 +146,7 @@ RunResult RunWorkload(Vfs& vfs, Clock& clock, const std::string& dir, int thread
   DatabaseStats stats = db->stats();
   result.metrics_json = db->MetricsReportJson();
   result.updates = stats.updates;
-  if (pipeline) {
-    result.fsyncs = stats.group_commit.syncs;
-    result.records_per_sync = stats.group_commit.records_per_sync();
-  } else {
-    result.fsyncs = db->log_writer_stats().commits - fsyncs_before;
-    result.records_per_sync =
-        result.fsyncs == 0 ? 0.0
-                           : static_cast<double>(result.updates) /
-                                 static_cast<double>(result.fsyncs);
-  }
+  result.fsyncs = stats.group_commit.syncs;
   return result;
 }
 
@@ -175,8 +165,7 @@ void AddRows(Table& table, const char* backend, int threads, const RunResult& se
                 Num(pipeline_rate), Num(pipeline_rate / serial_rate, "x")});
 }
 
-void RunSimBackend(Table& table, double* single_thread_regression,
-                   std::string* pipeline_metrics_json) {
+void RunSimBackend(Table& table, std::string* pipeline_metrics_json) {
   for (int threads : ThreadCounts()) {
     RunResult results[2];
     for (bool pipeline : {false, true}) {
@@ -187,19 +176,12 @@ void RunSimBackend(Table& table, double* single_thread_regression,
           RunWorkload(fs, env.clock(), "db", threads, pipeline);
     }
     AddRows(table, "SimFs", threads, results[0], results[1]);
-    if (threads == 1 && single_thread_regression != nullptr) {
-      // Simulated time is deterministic; one trial per mode is exact.
-      *single_thread_regression =
-          results[1].elapsed_micros / results[0].elapsed_micros - 1.0;
-    }
-    if (pipeline_metrics_json != nullptr) {
-      // Keep the highest-concurrency pipeline dump: the one with real batching.
-      *pipeline_metrics_json = results[1].metrics_json;
-    }
+    // Keep the highest-concurrency pipeline dump: the one with real batching.
+    *pipeline_metrics_json = results[1].metrics_json;
   }
 }
 
-void RunPosixBackend(Table& table, double* single_thread_regression) {
+void RunPosixBackend(Table& table) {
   namespace fsys = std::filesystem;
   fsys::path root = fsys::current_path() / "bench_group_commit_tmp";
   std::error_code ec;
@@ -217,22 +199,6 @@ void RunPosixBackend(Table& table, double* single_thread_regression) {
     }
     AddRows(table, "PosixFs", threads, results[0], results[1]);
   }
-
-  if (single_thread_regression != nullptr) {
-    // Wall-clock fsync latency is noisy (single runs vary tens of percent), so the
-    // latency comparison takes the best of several alternating trials per mode.
-    const int kTrials = QuickMode() ? 2 : 5;
-    double best[2] = {1e18, 1e18};
-    for (int trial = 0; trial < kTrials; ++trial) {
-      for (bool pipeline : {false, true}) {
-        std::string dir = "run" + std::to_string(run++);
-        PosixFs fs(root.string());
-        RunResult r = RunWorkload(fs, wall, dir, 1, pipeline);
-        best[pipeline ? 1 : 0] = std::min(best[pipeline ? 1 : 0], r.elapsed_micros);
-      }
-    }
-    *single_thread_regression = best[1] / best[0] - 1.0;
-  }
   fsys::remove_all(root, ec);
 }
 
@@ -243,24 +209,18 @@ void Run() {
 
   Table table({"backend", "threads", "mode", "updates", "fsyncs", "fsyncs/update",
                "updates/s", "speedup"});
-  double sim_regression = 0.0;
-  double posix_regression = 0.0;
   std::string pipeline_metrics_json;
-  RunSimBackend(table, &sim_regression, &pipeline_metrics_json);
-  RunPosixBackend(table, &posix_regression);
+  RunSimBackend(table, &pipeline_metrics_json);
+  RunPosixBackend(table);
   table.Print();
 
   std::printf(
-      "\nSingle-thread latency, pipeline vs serial: %+.1f%% (SimFs, simulated), "
-      "%+.1f%% (PosixFs, wall)\n",
-      sim_regression * 100.0, posix_regression * 100.0);
-  std::printf(
-      "SimFs rows: elapsed is simulated time (the charged cost of the disk ops); "
-      "PosixFs rows: wall-clock with real fsyncs.\n");
+      "\nserial rows: the same pipeline with max_batch_records = 1. SimFs rows: "
+      "elapsed is simulated time (the charged cost of the disk ops); PosixFs rows: "
+      "wall-clock with real fsyncs.\n");
 
   std::string json = "{\"bench\":\"group_commit\",\"quick\":";
   json += QuickMode() ? "true" : "false";
-  json += ",\"single_thread_regression_sim\":" + std::to_string(sim_regression);
   json += ",\"metrics\":" + pipeline_metrics_json + "}";
   MaybeWriteBenchJson("group_commit", json);
 }

@@ -7,7 +7,7 @@
 // checkpoints."
 #include "bench/bench_common.h"
 #include "src/core/partitioned.h"
-#include "src/core/shared_log.h"
+#include "src/core/sharded.h"
 
 namespace sdb::bench {
 namespace {
@@ -117,7 +117,7 @@ void PartitioningComparison() {
   }
 
   // The paper's other option: "a single log file with more complicated rules for
-  // flushing the log".
+  // flushing the log" — the sharded engine, four shards addressed by index.
   {
     SimEnvOptions env_options;
     SimEnv env(env_options);
@@ -127,11 +127,11 @@ void PartitioningComparison() {
       apps.push_back(std::make_unique<BenchKvApp>(&env.cost_model()));
       raw.push_back(apps.back().get());
     }
-    SharedLogOptions options;
+    ShardedOptions options;
     options.vfs = &env.fs();
     options.dir = "shared";
     options.clock = &env.clock();
-    auto db_or = SharedLogDatabase::Open(raw, options);
+    auto db_or = ShardedDatabase::Open(raw, options);
     if (!db_or.ok()) {
       return;
     }
@@ -165,7 +165,7 @@ void PartitioningComparison() {
                   "one fsync stream; %s %zu KB of shared log after all 4 checkpointed",
                   rotated ? "rotation reclaimed" : "could not reclaim",
                   static_cast<std::size_t>(before_rotation) / 1024);
-    table.AddRow({"4 partitions, ONE shared log", Secs(static_cast<double>(total)),
+    table.AddRow({"4 shards, ONE shared log", Secs(static_cast<double>(total)),
                   Secs(static_cast<double>(max_stall)), note});
   }
   table.Print();

@@ -5,6 +5,63 @@
 
 namespace sdb {
 
+bool ChainState::CompactionDue(const DeltaCheckpointOptions& options) const {
+  if (!has_deltas()) {
+    return false;
+  }
+  if (options.compact_after_deltas > 0 && deltas.size() >= options.compact_after_deltas) {
+    return true;
+  }
+  return options.compact_delta_base_ratio > 0 && base_bytes > 0 &&
+         static_cast<double>(delta_bytes) >=
+             options.compact_delta_base_ratio * static_cast<double>(base_bytes);
+}
+
+Result<Bytes> ReadChain(Vfs& vfs, Application& app, const DeltaChain& chain,
+                        const ChainPathFn& checkpoint_path, const ChainPathFn& delta_path,
+                        ChainState* loaded) {
+  SDB_ASSIGN_OR_RETURN(Bytes base, ReadWholeFile(vfs, checkpoint_path(chain.base)));
+  ChainState state = ChainState::Full(chain.base, base.size());
+  if (chain.has_deltas()) {
+    std::vector<Bytes> deltas;
+    std::vector<ByteSpan> delta_spans;
+    deltas.reserve(chain.deltas.size());
+    delta_spans.reserve(chain.deltas.size());
+    for (std::uint64_t version : chain.deltas) {
+      SDB_ASSIGN_OR_RETURN(Bytes delta, ReadWholeFile(vfs, delta_path(version)));
+      state.delta_bytes += delta.size();
+      deltas.push_back(std::move(delta));
+      delta_spans.push_back(AsSpan(deltas.back()));
+    }
+    state.deltas = chain.deltas;
+    Result<Bytes> composed = app.ComposeCheckpoint(AsSpan(base), delta_spans);
+    if (!composed.ok()) {
+      return composed.status().WithContext("composing delta checkpoint chain");
+    }
+    base = std::move(*composed);
+  }
+  if (loaded != nullptr) {
+    *loaded = std::move(state);
+  }
+  return base;
+}
+
+Result<CheckpointCapture> CaptureCheckpoint(Application& app, bool delta_mode,
+                                            std::uint64_t chain_length,
+                                            const DeltaCheckpointOptions& options) {
+  CheckpointCapture capture;
+  const std::uint64_t ceiling = options.force_full_at_chain_length;
+  if (delta_mode && (ceiling == 0 || chain_length < ceiling)) {
+    // The application has the final say: a null closure means it cannot produce
+    // deltas.
+    SDB_ASSIGN_OR_RETURN(capture.delta, app.CaptureDeltaSnapshot());
+  }
+  if (!capture.is_delta()) {
+    SDB_ASSIGN_OR_RETURN(capture.full, app.CaptureSnapshot());
+  }
+  return capture;
+}
+
 Database::Database(Application& app, DatabaseOptions options)
     : app_(app),
       options_(std::move(options)),
@@ -38,6 +95,10 @@ Database::Database(Application& app, DatabaseOptions options)
   delta_effective_ = options_.delta_checkpoint.enabled &&
                      !options_.keep_previous_checkpoint &&
                      !options_.fallback_to_previous_checkpoint;
+  GroupCommitHost& host = *this;  // the private-base upcast must happen in a member
+  committer_ = std::make_unique<GroupCommitter>(lock_, *clock_, host, &log_sink_,
+                                                &counters_, stage_metrics_,
+                                                options_.group_commit);
 }
 
 Database::~Database() {
@@ -76,15 +137,6 @@ Result<std::unique_ptr<Database>> Database::Open(Application& app, DatabaseOptio
   }
   std::unique_ptr<Database> db(new Database(app, std::move(options)));
   SDB_RETURN_IF_ERROR(db->Recover().WithContext("opening database in " + db->options_.dir));
-  if (db->options_.group_commit.enabled) {
-    // The private-base upcast must happen here, inside a member, not in make_unique.
-    GroupCommitHost& host = *db;
-    db->log_sink_.set_log(db->log_.get());
-    db->committer_ = std::make_unique<GroupCommitter>(db->lock_, *db->clock_, host,
-                                                      &db->log_sink_, &db->counters_,
-                                                      db->stage_metrics_,
-                                                      db->options_.group_commit);
-  }
   return db;
 }
 
@@ -119,8 +171,11 @@ Status Database::Recover() {
     SDB_RETURN_IF_ERROR(LoadCheckpointAndReplay(state));
   }
   SDB_ASSIGN_OR_RETURN(
-      log_, OpenLogForAppend(version_store_.LogPath(
-                live_log_version_.load(std::memory_order_relaxed))));
+      log_, OpenLogForAppend(*options_.vfs,
+                             version_store_.LogPath(
+                                 live_log_version_.load(std::memory_order_relaxed)),
+                             options_.log_writer));
+  log_sink_.set_log(log_.get());
   counters_.log_bytes->Set(static_cast<std::int64_t>(log_->size()));
   last_checkpoint_time_.store(clock_->NowMicros(), std::memory_order_relaxed);
   return OkStatus();
@@ -136,9 +191,7 @@ Status Database::InitFreshDatabase() {
   SDB_RETURN_IF_ERROR(options_.vfs->SyncDir(options_.dir));
   {
     std::lock_guard<std::mutex> chain_lock(chain_mu_);
-    chain_ = DeltaChain{1, {}};
-    chain_base_bytes_ = snapshot.size();
-    chain_delta_bytes_ = 0;
+    chain_ = ChainState::Full(1, snapshot.size());
   }
   return version_store_.InitFresh();
 }
@@ -170,50 +223,22 @@ Status Database::LoadCheckpointAndReplay(const VersionState& state) {
   // application's ComposeCheckpoint must land on bytes identical to the full
   // checkpoint it replaces, so everything downstream (replay, parallel or serial)
   // is oblivious to how the state got here.
-  Status load_status = OkStatus();
-  if (state.chain.has_deltas()) {
-    SDB_ASSIGN_OR_RETURN(
-        Bytes base,
-        ReadWholeFile(*options_.vfs, version_store_.CheckpointPath(state.chain.base)));
-    std::vector<Bytes> delta_bytes;
-    delta_bytes.reserve(state.chain.deltas.size());
-    std::uint64_t delta_total = 0;
-    for (std::uint64_t delta_version : state.chain.deltas) {
-      SDB_ASSIGN_OR_RETURN(
-          Bytes delta,
-          ReadWholeFile(*options_.vfs, version_store_.DeltaPath(delta_version)));
-      delta_total += delta.size();
-      delta_bytes.push_back(std::move(delta));
-    }
-    std::vector<ByteSpan> delta_spans;
-    delta_spans.reserve(delta_bytes.size());
-    for (const Bytes& delta : delta_bytes) {
-      delta_spans.push_back(AsSpan(delta));
-    }
-    Result<Bytes> composed = app_.ComposeCheckpoint(AsSpan(base), delta_spans);
-    if (!composed.ok()) {
-      return composed.status().WithContext("composing delta checkpoint chain");
-    }
+  ChainState loaded;
+  Result<Bytes> checkpoint = ReadChain(
+      *options_.vfs, app_, state.chain,
+      [this](std::uint64_t v) { return version_store_.CheckpointPath(v); },
+      [this](std::uint64_t v) { return version_store_.DeltaPath(v); }, &loaded);
+  if (!checkpoint.ok() && state.chain.has_deltas()) {
+    // A broken chain fails the open: the previous-generation fallback below serves
+    // only self-contained checkpoints.
+    return checkpoint.status();
+  }
+  Status load_status = checkpoint.status();
+  if (checkpoint.ok()) {
     SDB_RETURN_IF_ERROR(app_.ResetState());
-    load_status = app_.DeserializeState(AsSpan(*composed));
-    {
-      std::lock_guard<std::mutex> chain_lock(chain_mu_);
-      chain_ = state.chain;
-      chain_base_bytes_ = base.size();
-      chain_delta_bytes_ = delta_total;
-    }
-  } else {
-    Result<Bytes> snapshot = ReadWholeFile(*options_.vfs, state.checkpoint_path);
-    if (snapshot.ok()) {
-      SDB_RETURN_IF_ERROR(app_.ResetState());
-      load_status = app_.DeserializeState(AsSpan(*snapshot));
-      std::lock_guard<std::mutex> chain_lock(chain_mu_);
-      chain_ = state.chain;
-      chain_base_bytes_ = snapshot->size();
-      chain_delta_bytes_ = 0;
-    } else {
-      load_status = snapshot.status();
-    }
+    load_status = app_.DeserializeState(AsSpan(*checkpoint));
+    std::lock_guard<std::mutex> chain_lock(chain_mu_);
+    chain_ = std::move(loaded);
   }
   registry_.GetGauge("restart.chain_deltas_composed")
       .Set(static_cast<std::int64_t>(state.chain.deltas.size()));
@@ -306,21 +331,6 @@ Status Database::LoadCheckpointAndReplay(const VersionState& state) {
   return OkStatus();
 }
 
-Result<std::unique_ptr<LogWriter>> Database::OpenLogForAppend(const std::string& path) {
-  SDB_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
-                       options_.vfs->Open(path, OpenMode::kReadWrite));
-  SDB_ASSIGN_OR_RETURN(std::uint64_t size, file->Size());
-  // Discard a torn tail so new entries are never appended after garbage. The replay
-  // layer already ignored it; physically truncating keeps the file parseable.
-  if (options_.log_writer.pad_to_page_boundary &&
-      size % options_.log_writer.page_size != 0) {
-    size = (size / options_.log_writer.page_size) * options_.log_writer.page_size;
-    SDB_RETURN_IF_ERROR(file->Truncate(size));
-    SDB_RETURN_IF_ERROR(file->Sync());
-  }
-  return std::make_unique<LogWriter>(std::move(file), size, options_.log_writer);
-}
-
 Status Database::CheckPoisoned() const {
   if (poisoned_) {
     return InternalError(
@@ -334,28 +344,6 @@ namespace {
 Status ReadOnlyError() {
   return FailedPreconditionError("database was opened read-only");
 }
-
-// Quiesces the commit pipeline for the guard's scope (no-op when group commit is
-// off). Taken BEFORE the update lock: an in-flight batch needs the lock to finish,
-// so pausing after acquiring it would deadlock.
-class PipelinePause {
- public:
-  explicit PipelinePause(GroupCommitter* committer) : committer_(committer) {
-    if (committer_ != nullptr) {
-      committer_->Pause();
-    }
-  }
-  ~PipelinePause() {
-    if (committer_ != nullptr) {
-      committer_->Resume();
-    }
-  }
-  PipelinePause(const PipelinePause&) = delete;
-  PipelinePause& operator=(const PipelinePause&) = delete;
-
- private:
-  GroupCommitter* committer_;
-};
 
 }  // namespace
 
@@ -379,12 +367,9 @@ Status Database::UpdateBatch(const std::vector<std::function<Result<Bytes>()>>& 
   if (read_only_) {
     return ReadOnlyError();
   }
-  if (committer_ != nullptr) {
-    SDB_RETURN_IF_ERROR(committer_->Submit({prepares.data(), prepares.size()}));
-    MaybeAutoCheckpoint();
-    return OkStatus();
-  }
-  return UpdateSerial(prepares);
+  SDB_RETURN_IF_ERROR(committer_->Submit({prepares.data(), prepares.size()}));
+  MaybeAutoCheckpoint();
+  return OkStatus();
 }
 
 std::vector<Status> Database::UpdateMany(
@@ -397,108 +382,9 @@ std::vector<Status> Database::UpdateMany(
     out.assign(prepares.size(), ReadOnlyError());
     return out;
   }
-  if (committer_ != nullptr) {
-    out = committer_->SubmitMany({prepares.data(), prepares.size()});
-    MaybeAutoCheckpoint();
-    return out;
-  }
-  // Serial fallback: each update is its own one-fsync commit, so per-update
-  // outcomes stay independent exactly as they do in the pipeline.
-  out.reserve(prepares.size());
-  for (const auto& prepare : prepares) {
-    std::vector<std::function<Result<Bytes>()>> one{prepare};
-    out.push_back(UpdateSerial(one));
-  }
-  return out;
-}
-
-// The paper's base protocol: one commit fsync per UpdateBatch call, the update lock
-// held across the disk write. Used when group commit is disabled. Stage timings are
-// recorded exactly like the pipeline's (queue wait is structurally zero here).
-Status Database::UpdateSerial(const std::vector<std::function<Result<Bytes>()>>& prepares) {
-  UpdateBreakdown breakdown;
-  const bool timing = obs::Enabled();
-  obs::CommitTrace trace;
-  {
-    Micros t_start = timing ? clock_->NowMicros() : 0;
-    SueLock::UpdateGuard guard(lock_);
-    Micros t_locked = clock_->NowMicros();
-    SDB_RETURN_IF_ERROR(CheckPoisoned());
-    trace.epoch = commit_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-
-    // Step 1: verify preconditions and gather the parameters of each update into a
-    // record, under the update lock (enquiries continue concurrently).
-    std::vector<Bytes> records;
-    records.reserve(prepares.size());
-    for (const auto& prepare : prepares) {
-      Result<Bytes> record = prepare();
-      if (!record.ok()) {
-        counters_.precondition_failures->Increment();
-        return record.status();
-      }
-      records.push_back(std::move(*record));
-    }
-    Micros t_prepared = clock_->NowMicros();
-    breakdown.prepare_micros = t_prepared - t_locked;
-
-    // Step 2: record the updates in the disk log. The fsync is the commit point.
-    for (const Bytes& record : records) {
-      Status status = log_->Append(AsSpan(record));
-      if (!status.ok()) {
-        counters_.commit_failures->Increment();
-        return status.WithContext("appending log entry");
-      }
-    }
-    Micros t_appended = timing ? clock_->NowMicros() : t_prepared;
-    Status commit = log_->Commit();
-    Micros t_synced = clock_->NowMicros();
-    counters_.log_bytes->Set(static_cast<std::int64_t>(log_->size()));
-    if (!commit.ok()) {
-      counters_.commit_failures->Increment();
-      return commit.WithContext("committing log entry");
-    }
-    breakdown.log_micros = t_synced - t_prepared;
-    stage_metrics_.fsyncs->Increment();
-
-    // Step 3: apply to the virtual memory structure, in exclusive mode (enquiries are
-    // excluded only for this in-memory step, never during the disk write).
-    guard.Upgrade();
-    Micros t_exclusive = clock_->NowMicros();
-    for (const Bytes& record : records) {
-      Status status = app_.ApplyUpdate(AsSpan(record));
-      if (!status.ok()) {
-        // The record is durably logged but could not be applied: memory and disk have
-        // diverged. Fail closed.
-        poisoned_ = true;
-        return status.WithContext("applying committed update (database poisoned)");
-      }
-    }
-    Micros t_applied = clock_->NowMicros();
-    breakdown.apply_micros = t_applied - t_exclusive;
-    breakdown.total_micros =
-        breakdown.prepare_micros + breakdown.log_micros + breakdown.apply_micros;
-
-    counters_.updates->Add(records.size());
-    counters_.log_entries_since_checkpoint->Add(static_cast<std::int64_t>(records.size()));
-    if (timing) {
-      trace.records = records.size();
-      trace.start_micros = t_start;
-      trace.set_stage(obs::CommitStage::kLockWait, t_locked - t_start);
-      trace.set_stage(obs::CommitStage::kPrepare, t_prepared - t_locked);
-      trace.set_stage(obs::CommitStage::kAppend, t_appended - t_prepared);
-      trace.set_stage(obs::CommitStage::kFsync, t_synced - t_appended);
-      trace.set_stage(obs::CommitStage::kExclusiveWait, t_exclusive - t_synced);
-      trace.set_stage(obs::CommitStage::kApply, t_applied - t_exclusive);
-      trace.total_micros = t_applied - t_start;
-      stage_metrics_.RecordBatch(trace);
-    }
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      stats_.last_update = breakdown;
-    }
-  }
+  out = committer_->SubmitMany({prepares.data(), prepares.size()});
   MaybeAutoCheckpoint();
-  return OkStatus();
+  return out;
 }
 
 Result<std::uint64_t> Database::BatchBegin() {
@@ -527,7 +413,7 @@ Status Database::ReplaceState(ByteSpan state) {
   }
   AcquireCheckpointSlot();
   Status status = [&]() -> Status {
-    PipelinePause pause(committer_.get());
+    PipelinePause pause(*committer_);
     SueLock::UpdateGuard guard(lock_);
     guard.Upgrade();
     SDB_RETURN_IF_ERROR(app_.ResetState());
@@ -557,7 +443,7 @@ Status Database::Checkpoint() {
   Status status;
   bool persist_unlocked = false;
   {
-    PipelinePause pause(committer_.get());
+    PipelinePause pause(*committer_);
     SueLock::UpdateGuard guard(lock_);
     status = CheckPoisoned();
     if (status.ok()) {
@@ -586,29 +472,14 @@ Status Database::RotateForCheckpointLocked(CheckpointRotation* rotation, bool fo
   Stopwatch stall_watch(*clock_);
   rotation->start_micros = clock_->NowMicros();
 
-  // Delta or full? Delta when the mode is effective, the caller didn't force full,
-  // and the chain hasn't hit its hard length ceiling (repeatedly failed compaction);
-  // then the application gets the final say — a null capture closure means it can't
-  // produce deltas and the full path runs as before.
-  bool want_delta = delta_effective_ && !force_full;
-  if (want_delta &&
-      options_.delta_checkpoint.force_full_at_chain_length > 0) {
-    std::lock_guard<std::mutex> chain_lock(chain_mu_);
-    if (chain_.length() >= options_.delta_checkpoint.force_full_at_chain_length) {
-      want_delta = false;
-    }
-  }
-
   // Capture a consistent snapshot — the only O(state) work updates must wait for
-  // (O(churn) in delta mode).
+  // (O(churn) in delta mode). ReplaceState forces full: the replacement state shares
+  // no ancestry with the old chain.
   Stopwatch capture_watch(*clock_);
-  if (want_delta) {
-    SDB_ASSIGN_OR_RETURN(rotation->serialize_delta, app_.CaptureDeltaSnapshot());
-    rotation->is_delta = static_cast<bool>(rotation->serialize_delta);
-  }
-  if (!rotation->is_delta) {
-    SDB_ASSIGN_OR_RETURN(rotation->serialize, app_.CaptureSnapshot());
-  }
+  SDB_ASSIGN_OR_RETURN(rotation->capture,
+                       CaptureCheckpoint(app_, delta_effective_ && !force_full,
+                                         chain_state().length(),
+                                         options_.delta_checkpoint));
   rotation->capture_micros = capture_watch.ElapsedMicros();
 
   rotation->base = version_.load(std::memory_order_relaxed);
@@ -623,10 +494,9 @@ Status Database::RotateForCheckpointLocked(CheckpointRotation* rotation, bool fo
   // future delta (found by the simulation harness: a transient marker-write error
   // during a delta rotation silently lost acknowledged updates from later chains).
   auto abort_rotation = [&](Status status) {
-    if (rotation->is_delta) {
+    if (rotation->capture.is_delta()) {
       app_.AbandonDeltaCapture();
-      rotation->is_delta = false;
-      rotation->serialize_delta = nullptr;
+      rotation->capture.delta = nullptr;
     }
     return status;
   };
@@ -643,8 +513,8 @@ Status Database::RotateForCheckpointLocked(CheckpointRotation* rotation, bool fo
   }
 
   // Swap the live writer. The pipeline is paused, so no batch holds the old one.
-  Result<std::unique_ptr<LogWriter>> new_log_result =
-      OpenLogForAppend(version_store_.LogPath(rotation->target));
+  Result<std::unique_ptr<LogWriter>> new_log_result = OpenLogForAppend(
+      *options_.vfs, version_store_.LogPath(rotation->target), options_.log_writer);
   if (!new_log_result.ok()) {
     return abort_rotation(new_log_result.status());
   }
@@ -654,9 +524,7 @@ Status Database::RotateForCheckpointLocked(CheckpointRotation* rotation, bool fo
     SDB_LOG(kWarning) << "closing rotated-out log: " << closed;
   }
   log_ = std::move(new_log);
-  if (committer_ != nullptr) {
-    log_sink_.set_log(log_.get());
-  }
+  log_sink_.set_log(log_.get());
   live_log_version_.store(rotation->target, std::memory_order_relaxed);
   commit_epoch_.fetch_add(1, std::memory_order_relaxed);
   last_checkpoint_time_.store(clock_->NowMicros(), std::memory_order_relaxed);
@@ -676,14 +544,14 @@ Status Database::RotateForCheckpointLocked(CheckpointRotation* rotation, bool fo
 // update lock (legacy mode, ReplaceState), or on the background thread (automatic
 // checkpoints).
 Status Database::PersistCheckpoint(CheckpointRotation rotation) {
-  if (rotation.is_delta) {
+  if (rotation.capture.is_delta()) {
     return PersistDeltaCheckpoint(std::move(rotation));
   }
   CheckpointBreakdown breakdown;
   breakdown.stall_micros = rotation.stall_micros;
 
   Stopwatch serialize_watch(*clock_);
-  Result<Bytes> snapshot = rotation.serialize();
+  Result<Bytes> snapshot = rotation.capture.full();
   if (!snapshot.ok()) {
     checkpoint_failures_->Increment();
     return snapshot.status().WithContext("serializing checkpoint snapshot");
@@ -740,9 +608,7 @@ Status Database::PersistCheckpoint(CheckpointRotation rotation) {
   // manifest and the superseded chain files before this point.
   {
     std::lock_guard<std::mutex> chain_lock(chain_mu_);
-    chain_ = DeltaChain{rotation.target, {}};
-    chain_base_bytes_ = snapshot->size();
-    chain_delta_bytes_ = 0;
+    chain_ = ChainState::Full(rotation.target, snapshot->size());
   }
   breakdown.disk_micros = disk_watch.ElapsedMicros();
   breakdown.total_micros = clock_->NowMicros() - rotation.start_micros;
@@ -777,7 +643,7 @@ Status Database::PersistDeltaCheckpoint(CheckpointRotation rotation) {
   breakdown.stall_micros = rotation.stall_micros;
 
   Stopwatch serialize_watch(*clock_);
-  Result<Application::DeltaSnapshot> delta = rotation.serialize_delta();
+  Result<Application::DeltaSnapshot> delta = rotation.capture.delta();
   if (!delta.ok()) {
     checkpoint_failures_->Increment();
     app_.AbandonDeltaCapture();
@@ -803,11 +669,7 @@ Status Database::PersistDeltaCheckpoint(CheckpointRotation rotation) {
     return written.WithContext("writing delta checkpoint");
   }
 
-  DeltaChain extended;
-  {
-    std::lock_guard<std::mutex> chain_lock(chain_mu_);
-    extended = chain_;
-  }
+  DeltaChain extended = chain_state();
   extended.deltas.push_back(rotation.target);
   Status published = version_store_.PublishManifest(extended);
   if (!published.ok()) {
@@ -844,11 +706,7 @@ Status Database::PersistDeltaCheckpoint(CheckpointRotation rotation) {
     // Clean abort: roll the manifest back BEFORE deleting the delta file — the
     // durable manifest must never reference a file we already deleted. A crash in
     // between leaves an orphan manifest entry (truncated), never a broken chain.
-    DeltaChain rollback;
-    {
-      std::lock_guard<std::mutex> chain_lock(chain_mu_);
-      rollback = chain_;
-    }
+    DeltaChain rollback = chain_state();
     Status unpublished = OkStatus();
     if (rollback.has_deltas()) {
       unpublished = version_store_.PublishManifest(rollback);
@@ -874,8 +732,8 @@ Status Database::PersistDeltaCheckpoint(CheckpointRotation rotation) {
   version_.store(rotation.target, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> chain_lock(chain_mu_);
-    chain_ = extended;
-    chain_delta_bytes_ += delta->bytes.size();
+    chain_.deltas.push_back(rotation.target);  // == extended: the slot is held
+    chain_.delta_bytes += delta->bytes.size();
   }
   app_.CommitDeltaCapture();
   breakdown.disk_micros = disk_watch.ElapsedMicros();
@@ -903,7 +761,7 @@ Status Database::PersistDeltaCheckpoint(CheckpointRotation rotation) {
 
   if (options_.delta_checkpoint.background_compaction) {
     MaybeScheduleCompaction();
-  } else if (CompactionDue()) {
+  } else if (chain_state().CompactionDue(options_.delta_checkpoint)) {
     // Inline (deterministic) mode: compact right here, while the checkpoint slot —
     // which the compactor needs exclusively — is still held by this persist.
     Status compacted = CompactChain();
@@ -915,18 +773,9 @@ Status Database::PersistDeltaCheckpoint(CheckpointRotation rotation) {
   return OkStatus();
 }
 
-bool Database::CompactionDue() const {
-  const DeltaCheckpointOptions& opts = options_.delta_checkpoint;
+ChainState Database::chain_state() const {
   std::lock_guard<std::mutex> chain_lock(chain_mu_);
-  if (!chain_.has_deltas()) {
-    return false;
-  }
-  if (opts.compact_after_deltas > 0 && chain_.deltas.size() >= opts.compact_after_deltas) {
-    return true;
-  }
-  return opts.compact_delta_base_ratio > 0 && chain_base_bytes_ > 0 &&
-         static_cast<double>(chain_delta_bytes_) >=
-             opts.compact_delta_base_ratio * static_cast<double>(chain_base_bytes_);
+  return chain_;
 }
 
 // Collapses base + deltas into a self-contained checkpoint(top). Caller holds the
@@ -940,33 +789,18 @@ bool Database::CompactionDue() const {
 // No step poisons: until 2 the chain stays authoritative, after 2 the collapsed
 // base is, and both describe the same state.
 Status Database::CompactChain() {
-  DeltaChain chain;
-  {
-    std::lock_guard<std::mutex> chain_lock(chain_mu_);
-    chain = chain_;
-  }
+  const DeltaChain chain = chain_state();
   if (!chain.has_deltas()) {
     return OkStatus();
   }
 
   Stopwatch compact_watch(*clock_);
-  SDB_ASSIGN_OR_RETURN(
-      Bytes base, ReadWholeFile(*options_.vfs, version_store_.CheckpointPath(chain.base)));
-  std::vector<Bytes> delta_bytes;
-  delta_bytes.reserve(chain.deltas.size());
-  for (std::uint64_t delta_version : chain.deltas) {
-    SDB_ASSIGN_OR_RETURN(
-        Bytes delta, ReadWholeFile(*options_.vfs, version_store_.DeltaPath(delta_version)));
-    delta_bytes.push_back(std::move(delta));
-  }
-  std::vector<ByteSpan> delta_spans;
-  delta_spans.reserve(delta_bytes.size());
-  for (const Bytes& delta : delta_bytes) {
-    delta_spans.push_back(AsSpan(delta));
-  }
-  Result<Bytes> composed = app_.ComposeCheckpoint(AsSpan(base), delta_spans);
+  Result<Bytes> composed = ReadChain(
+      *options_.vfs, app_, chain,
+      [this](std::uint64_t v) { return version_store_.CheckpointPath(v); },
+      [this](std::uint64_t v) { return version_store_.DeltaPath(v); });
   if (!composed.ok()) {
-    return composed.status().WithContext("composing chain for compaction");
+    return composed.status().WithContext("compacting delta chain");
   }
 
   const std::string new_base_path = version_store_.CheckpointPath(chain.top());
@@ -1023,9 +857,7 @@ Status Database::CompactChain() {
 
   {
     std::lock_guard<std::mutex> chain_lock(chain_mu_);
-    chain_ = DeltaChain{chain.top(), {}};
-    chain_base_bytes_ = composed->size();
-    chain_delta_bytes_ = 0;
+    chain_ = ChainState::Full(chain.top(), composed->size());
   }
   compaction_runs_->Increment();
   compaction_bytes_->Add(composed->size());
@@ -1039,7 +871,8 @@ Status Database::CompactChain() {
 }
 
 void Database::MaybeScheduleCompaction() {
-  if (read_only_ || shutting_down_.load(std::memory_order_relaxed) || !CompactionDue()) {
+  if (read_only_ || shutting_down_.load(std::memory_order_relaxed) ||
+      !chain_state().CompactionDue(options_.delta_checkpoint)) {
     return;
   }
   // Single-flight: the flag is cleared as the compaction thread's LAST action, after
@@ -1055,7 +888,8 @@ void Database::MaybeScheduleCompaction() {
   }
   compaction_thread_ = std::thread([this] {
     AcquireCheckpointSlot();
-    if (!shutting_down_.load(std::memory_order_relaxed) && CompactionDue()) {
+    if (!shutting_down_.load(std::memory_order_relaxed) &&
+        chain_state().CompactionDue(options_.delta_checkpoint)) {
       Status compacted = CompactChain();
       if (!compacted.ok()) {
         compaction_failures_->Increment();
@@ -1120,7 +954,7 @@ void Database::MaybeAutoCheckpoint() {
   CheckpointRotation rotation;
   Status status;
   {
-    PipelinePause pause(committer_.get());
+    PipelinePause pause(*committer_);
     SueLock::UpdateGuard guard(lock_);
     status = CheckPoisoned();
     if (status.ok()) {
@@ -1162,10 +996,7 @@ std::uint64_t Database::live_log_version() const {
   return live_log_version_.load(std::memory_order_relaxed);
 }
 
-DeltaChain Database::delta_chain() const {
-  std::lock_guard<std::mutex> chain_lock(chain_mu_);
-  return chain_;
-}
+DeltaChain Database::delta_chain() const { return chain_state(); }
 
 std::uint64_t Database::log_bytes() const {
   return static_cast<std::uint64_t>(counters_.log_bytes->value());
@@ -1189,9 +1020,7 @@ DatabaseStats Database::stats() const {
   snapshot.auto_checkpoints = auto_checkpoints_->value();
   snapshot.log_entries_since_checkpoint =
       static_cast<std::uint64_t>(counters_.log_entries_since_checkpoint->value());
-  if (committer_ != nullptr) {
-    snapshot.group_commit = committer_->stats();
-  }
+  snapshot.group_commit = committer_->stats();
   return snapshot;
 }
 

@@ -13,11 +13,12 @@
 //     (Checkpoint; also automatic via CheckpointPolicy).
 //   - Restart = load checkpoint, replay log (Open).
 //
-// Concurrent updates are coalesced by the group-commit pipeline (GroupCommitter):
-// N simultaneous Update() callers share one log disk write and one fsync, and the
-// fsync happens with no lock held — enquiries are never excluded during disk
-// transfers (Section 3's rule), and updaters queue in the pipeline instead of on
-// the update lock.
+// Every update commits through the group-commit pipeline (GroupCommitter), the
+// engine's one commit path: N simultaneous Update() callers share one log disk write
+// and one fsync, and the fsync happens with no lock held — enquiries are never
+// excluded during disk transfers (Section 3's rule), and updaters queue in the
+// pipeline instead of on the update lock. group_commit.max_batch_records = 1 gives
+// the paper's one fsync per update.
 //
 // The engine is application-agnostic: the Application interface supplies state
 // (de)serialization and update application; the engine owns locking, logging,
@@ -216,6 +217,51 @@ struct DeltaCheckpointOptions {
   bool background_compaction = true;
 };
 
+// The delta-chain rules both engines share: Database keeps one chain, a
+// ShardedDatabase one per shard. The engines differ only in where the files live
+// and in how a checkpoint is published (the version-file switch, or the ensemble
+// manifest rename).
+struct ChainState : DeltaChain {
+  std::uint64_t base_bytes = 0;   // size of checkpoint(base)
+  std::uint64_t delta_bytes = 0;  // summed size of the deltas
+
+  // A self-contained checkpoint at `version`: after a fresh init, a full checkpoint
+  // or a compaction.
+  static ChainState Full(std::uint64_t version, std::uint64_t bytes) {
+    return ChainState{DeltaChain{version, {}}, bytes, 0};
+  }
+
+  // True once the chain crossed compact_after_deltas or compact_delta_base_ratio.
+  bool CompactionDue(const DeltaCheckpointOptions& options) const;
+};
+
+// Maps a version to the engine's checkpoint or delta file for it.
+using ChainPathFn = std::function<std::string(std::uint64_t version)>;
+
+// Reads checkpoint(chain.base) and each delta in manifest order, and composes them
+// through Application::ComposeCheckpoint into the equivalent full-checkpoint bytes.
+// A chain without deltas is its base, returned as read. On success `*loaded` (when
+// given) holds the chain with its byte counts.
+Result<Bytes> ReadChain(Vfs& vfs, Application& app, const DeltaChain& chain,
+                        const ChainPathFn& checkpoint_path, const ChainPathFn& delta_path,
+                        ChainState* loaded = nullptr);
+
+// A checkpoint's snapshot closure, captured under the update lock: `delta` when the
+// checkpoint extends the chain, otherwise `full`.
+struct CheckpointCapture {
+  std::function<Result<Bytes>()> full;
+  std::function<Result<Application::DeltaSnapshot>()> delta;
+  bool is_delta() const { return static_cast<bool>(delta); }
+};
+
+// The delta-or-full decision, made under the update lock: a delta when `delta_mode`
+// is on, the chain is shorter than force_full_at_chain_length (0 = no ceiling; a
+// chain that long means compaction kept failing) and the application grants a delta
+// closure; otherwise a full snapshot, which collapses the chain.
+Result<CheckpointCapture> CaptureCheckpoint(Application& app, bool delta_mode,
+                                            std::uint64_t chain_length,
+                                            const DeltaCheckpointOptions& options);
+
 struct DatabaseOptions {
   Vfs* vfs = nullptr;
   std::string dir;
@@ -239,8 +285,7 @@ struct DatabaseOptions {
   bool skip_damaged_log_entries = false;   // hard-error mode: ignore damaged entries
   bool fallback_to_previous_checkpoint = false;  // hard-error mode: use version N-1
 
-  // Cross-thread group commit (Section 5). Enabled by default; disable to get the
-  // one-fsync-per-update serial path.
+  // Cross-thread group commit (Section 5): every update commits through it.
   GroupCommitOptions group_commit;
 
   LogWriterOptions log_writer;
@@ -350,9 +395,9 @@ class Database : private GroupCommitHost {
   // then appends the record to the log and forces it to disk — the commit point —
   // upgrades to exclusive, and applies the record through the application.
   //
-  // With group commit enabled (the default), concurrent callers' records share one
-  // log write and one fsync; this never weakens the contract below — Update returns
-  // OK only after this update's record is durable and applied, in log order.
+  // Concurrent callers' records share one log write and one fsync; this never
+  // weakens the contract below — Update returns OK only after this update's record
+  // is durable and applied, in log order.
   //
   // If `prepare` fails, nothing is logged and the state is untouched. If the disk
   // write fails, the update is not applied (and will not be visible after restart).
@@ -369,8 +414,7 @@ class Database : private GroupCommitHost {
   // connections, carried into the engine by one transport thread — entering the
   // commit pipeline together so one fsync covers all of them. Unlike UpdateBatch,
   // each update succeeds or fails on its own (statuses returned in input order): a
-  // precondition failure drops only that update from the sealed batch. With group
-  // commit disabled, each update runs the serial one-fsync-per-update path.
+  // precondition failure drops only that update from the sealed batch.
   std::vector<Status> UpdateMany(
       const std::vector<std::function<Result<Bytes>()>>& prepares);
 
@@ -424,8 +468,8 @@ class Database : private GroupCommitHost {
   // timing breakdown of one commit batch.
   std::vector<obs::CommitTrace> DumpTrace() const;
 
-  // Monotone counter bumped at the start of every commit batch (and every serial
-  // update / checkpoint). Applications whose prepares derive values from in-memory
+  // Monotone counter bumped at the start of every commit batch (and every checkpoint
+  // rotation). Applications whose prepares derive values from in-memory
   // state that the same batch will modify (e.g. replication sequence numbers) compare
   // this across prepares to detect "the state I read has pending, not-yet-applied
   // records in front of it"; see NameServer::SyncReservations.
@@ -451,12 +495,10 @@ class Database : private GroupCommitHost {
   struct CheckpointRotation {
     std::uint64_t base = 0;    // generation the version files name (unchanged by A)
     std::uint64_t target = 0;  // new generation; the live log after A
-    std::function<Result<Bytes>()> serialize;
-    // Delta mode: `target` will be written as delta<target> extending the chain
-    // instead of a self-contained checkpoint; serialize_delta is set, serialize is
-    // null. Phase B publishes the extended manifest before committing the switch.
-    bool is_delta = false;
-    std::function<Result<Application::DeltaSnapshot>()> serialize_delta;
+    // A delta capture writes `target` as delta<target> extending the chain instead
+    // of a self-contained checkpoint; Phase B publishes the extended manifest before
+    // committing the switch.
+    CheckpointCapture capture;
     Micros start_micros = 0;
     Micros stall_micros = 0;
     Micros capture_micros = 0;
@@ -465,8 +507,6 @@ class Database : private GroupCommitHost {
   Status Recover();
   Status InitFreshDatabase();
   Status LoadCheckpointAndReplay(const VersionState& state);
-  Result<std::unique_ptr<LogWriter>> OpenLogForAppend(const std::string& path);
-  Status UpdateSerial(const std::vector<std::function<Result<Bytes>()>>& prepares);
   Status RotateForCheckpointLocked(CheckpointRotation* rotation, bool force_full = false);
   Status PersistCheckpoint(CheckpointRotation rotation);
   Status PersistDeltaCheckpoint(CheckpointRotation rotation);
@@ -476,7 +516,7 @@ class Database : private GroupCommitHost {
   // Never poisons: a failure at any point leaves the chain authoritative and at
   // worst some swept-at-next-open garbage.
   Status CompactChain();
-  bool CompactionDue() const;  // thresholds vs the chain, under chain_mu_
+  ChainState chain_state() const;  // a copy of chain_, taken under chain_mu_
   // Launches the background compaction thread if compaction is due and none is in
   // flight. Called after a successful delta persist.
   void MaybeScheduleCompaction();
@@ -524,8 +564,8 @@ class Database : private GroupCommitHost {
   std::atomic<bool> poisoned_{false};
   bool read_only_ = false;
 
-  // Created after recovery when writable and group commit is enabled. Declared after
-  // log_ so it is destroyed first.
+  // The commit pipeline, created with the database (a read-only one never submits).
+  // Declared after log_ so it is destroyed first.
   std::unique_ptr<GroupCommitter> committer_;
 
   // Hot-path counters: registry-owned lock-free metrics so overlapping commits never
@@ -548,13 +588,11 @@ class Database : private GroupCommitHost {
   obs::Gauge* checkpoint_in_progress_ = nullptr;
   obs::Counter* checkpoint_failures_ = nullptr;
 
-  // The live delta chain (mirrors the on-disk manifest) and its byte accounting
+  // The live delta chain (mirrors the on-disk manifest) with its byte accounting
   // for the compaction thresholds. chain_mu_ is a leaf lock: held only around
-  // reads/writes of these fields, never while doing I/O.
+  // reads/writes of chain_, never while doing I/O.
   mutable std::mutex chain_mu_;
-  DeltaChain chain_;
-  std::uint64_t chain_base_bytes_ = 0;
-  std::uint64_t chain_delta_bytes_ = 0;
+  ChainState chain_;
   // Delta mode resolved at Open: options + application support + no previous-
   // generation retention. Immutable afterwards.
   bool delta_effective_ = false;

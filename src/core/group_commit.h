@@ -5,6 +5,9 @@
 // The engine's manual Database::UpdateBatch does that for updates a single caller
 // already holds in hand; this subsystem does it for *concurrent* callers with no API
 // change: N threads calling Database::Update() at once share one log disk write.
+// It is the engine's only commit path — every writable Database and every shard of a
+// ShardedDatabase commits through one. The paper's one-fsync-per-update protocol is
+// this pipeline with max_batch_records = 1.
 //
 // Protocol (leader election among waiters; no background thread):
 //   - Each caller enqueues its prepare callback(s) and blocks.
@@ -29,7 +32,7 @@
 //     blocked during disk writes. (The fsync holds no lock at all.)
 //   - Batches are strictly sequential: batch N+1's prepares run only after batch N's
 //     applies, so a prepare always sees every earlier-logged update applied — the
-//     same serializability a single update lock gave the one-at-a-time path.
+//     same serializability as holding the update lock across each whole update.
 //
 // Within one batch, prepares run back-to-back before any of the batch's applies
 // (exactly like the pre-existing manual UpdateBatch): a prepare does not see the
@@ -63,13 +66,10 @@
 namespace sdb {
 
 struct GroupCommitOptions {
-  // When false, Database::Update falls back to the one-fsync-per-update serial path
-  // (the paper's base protocol). Used by benchmarks as the baseline and available as
-  // an escape hatch.
-  bool enabled = true;
-
   // Upper bound on records sealed into one batch (one fsync). 0 = unlimited. Bounds
-  // both the single contiguous log write and the exclusive-mode apply span.
+  // both the single contiguous log write and the exclusive-mode apply span. 1 gives
+  // the paper's base protocol, one fsync per update — the benchmarks' baseline —
+  // except that a multi-record request (UpdateBatch) still seals whole.
   std::size_t max_batch_records = 1024;
 };
 
@@ -105,7 +105,7 @@ struct UpdateCounters {
   obs::Counter* precondition_failures = nullptr;
   obs::Counter* commit_failures = nullptr;
   obs::Gauge* log_entries_since_checkpoint = nullptr;
-  // Mirror of the live log's size, refreshed after every batch/serial commit, so
+  // Mirror of the live log's size, refreshed after every batch commit, so
   // Database::log_bytes() needs no lock while a batch is streaming to disk.
   obs::Gauge* log_bytes = nullptr;
 };
@@ -357,6 +357,22 @@ class GroupCommitter {
   bool batch_in_progress_ = false;
   bool paused_ = false;
   GroupCommitStats stats_;
+};
+
+// Pauses a pipeline for the guard's scope. Take it BEFORE the update lock: an
+// in-flight batch needs that lock to finish, so pausing after acquiring it would
+// deadlock.
+class PipelinePause {
+ public:
+  explicit PipelinePause(GroupCommitter& committer) : committer_(committer) {
+    committer_.Pause();
+  }
+  ~PipelinePause() { committer_.Resume(); }
+  PipelinePause(const PipelinePause&) = delete;
+  PipelinePause& operator=(const PipelinePause&) = delete;
+
+ private:
+  GroupCommitter& committer_;
 };
 
 }  // namespace sdb

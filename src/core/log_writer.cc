@@ -43,4 +43,16 @@ Status LogWriter::Commit() {
   return OkStatus();
 }
 
+Result<std::unique_ptr<LogWriter>> OpenLogForAppend(Vfs& vfs, std::string_view path,
+                                                    const LogWriterOptions& options) {
+  SDB_ASSIGN_OR_RETURN(std::unique_ptr<File> file, vfs.Open(path, OpenMode::kReadWrite));
+  SDB_ASSIGN_OR_RETURN(std::uint64_t size, file->Size());
+  if (options.pad_to_page_boundary && size % options.page_size != 0) {
+    size = (size / options.page_size) * options.page_size;
+    SDB_RETURN_IF_ERROR(file->Truncate(size));
+    SDB_RETURN_IF_ERROR(file->Sync());
+  }
+  return std::make_unique<LogWriter>(std::move(file), size, options);
+}
+
 }  // namespace sdb

@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 
 #include "src/common/bytes.h"
+#include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/storage/vfs.h"
 
@@ -91,6 +93,12 @@ class LogWriter {
   Bytes scratch_;  // reusable encode buffer (capacity persists across batches)
   Bytes padding_;  // reusable zero page for PadToPageBoundary
 };
+
+// Opens the existing log at `path` for appending. A torn tail past the last whole
+// page is cut off first (replay already ignored it), so new entries are never
+// appended after garbage and the file stays parseable.
+Result<std::unique_ptr<LogWriter>> OpenLogForAppend(Vfs& vfs, std::string_view path,
+                                                    const LogWriterOptions& options);
 
 }  // namespace sdb
 

@@ -52,10 +52,7 @@ PartitionedDatabase::AggregateStats PartitionedDatabase::aggregate_stats() const
     aggregate.enquiries += stats.enquiries;
     aggregate.checkpoints += stats.checkpoints;
     aggregate.log_bytes += db->log_bytes();
-    // Serial-path partitions (group commit off) never populate GroupCommitStats;
-    // there every acknowledged update committed with its own private fsync.
-    aggregate.fsyncs += stats.group_commit.batches > 0 ? stats.group_commit.syncs
-                                                       : stats.updates;
+    aggregate.fsyncs += stats.group_commit.syncs;
   }
   return aggregate;
 }

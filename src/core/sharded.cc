@@ -34,18 +34,6 @@ std::optional<std::uint64_t> ParseDecimal(std::string_view text) {
   return value;
 }
 
-// Resumes a paused pipeline on every exit path of checkpoint Phase A.
-class PipelineResumer {
- public:
-  explicit PipelineResumer(GroupCommitter* committer) : committer_(committer) {}
-  ~PipelineResumer() { committer_->Resume(); }
-  PipelineResumer(const PipelineResumer&) = delete;
-  PipelineResumer& operator=(const PipelineResumer&) = delete;
-
- private:
-  GroupCommitter* committer_;
-};
-
 }  // namespace
 
 // --- ShardRouter ---
@@ -164,7 +152,7 @@ void ShardedDatabase::ShardUnit::ReleaseCheckpointSlot() {
 // The atomic-rename-committed record binding the ensemble together: the live log
 // generation plus, per shard, the checkpoint version and the shared-log offset the
 // checkpoint is current to. Its rename is every checkpoint's and rotation's commit
-// point (the same scheme SharedLogDatabase established).
+// point.
 struct ShardedDatabase::Manifest {
   std::uint64_t log_generation = 1;
   std::vector<ShardMeta> shards;
@@ -226,25 +214,11 @@ Status ShardedDatabase::WriteManifestLocked() {
   manifest.log_generation = log_generation_;
   manifest.shards.reserve(units_.size());
   for (const auto& unit : units_) {
-    manifest.shards.push_back(ShardMeta{unit->checkpoint_version, unit->replay_from,
+    manifest.shards.push_back(ShardMeta{unit->chain.top(), unit->replay_from,
                                         unit->chain.base, unit->chain.deltas});
   }
   Bytes bytes = PickleWrite(manifest);
   return AtomicWriteFile(*options_.vfs, options_.dir, ManifestPath(), AsSpan(bytes));
-}
-
-Result<std::unique_ptr<LogWriter>> ShardedDatabase::OpenLogForAppend(
-    std::uint64_t generation) {
-  SDB_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
-                       options_.vfs->Open(LogPath(generation), OpenMode::kReadWrite));
-  SDB_ASSIGN_OR_RETURN(std::uint64_t size, file->Size());
-  if (options_.log_writer.pad_to_page_boundary &&
-      size % options_.log_writer.page_size != 0) {
-    size = (size / options_.log_writer.page_size) * options_.log_writer.page_size;
-    SDB_RETURN_IF_ERROR(file->Truncate(size));
-    SDB_RETURN_IF_ERROR(file->Sync());
-  }
-  return std::make_unique<LogWriter>(std::move(file), size, options_.log_writer);
 }
 
 Status ShardedDatabase::ForEachShardParallel(
@@ -311,11 +285,8 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
       SDB_RETURN_IF_ERROR(units_[p]->app->ResetState());
       SDB_ASSIGN_OR_RETURN(Bytes snapshot, units_[p]->app->SerializeState());
       SDB_RETURN_IF_ERROR(WriteWholeFile(vfs, CheckpointPath(p, 1), AsSpan(snapshot)));
-      units_[p]->checkpoint_version = 1;
       units_[p]->replay_from = 0;
-      units_[p]->chain = DeltaChain{1, {}};
-      units_[p]->chain_base_bytes = snapshot.size();
-      units_[p]->chain_delta_bytes = 0;
+      units_[p]->chain = ChainState::Full(1, snapshot.size());
     }
     SDB_RETURN_IF_ERROR(WriteWholeFile(vfs, LogPath(1), ByteSpan{}));
     SDB_RETURN_IF_ERROR(vfs.SyncDir(options_.dir));
@@ -331,10 +302,9 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
     log_generation_ = manifest.log_generation;
     for (std::size_t p = 0; p < units_.size(); ++p) {
       const ShardMeta& meta = manifest.shards[p];
-      units_[p]->checkpoint_version = meta.checkpoint_version;
       units_[p]->replay_from = meta.replay_from;
       if (meta.chain_deltas.empty()) {
-        units_[p]->chain = DeltaChain{meta.checkpoint_version, {}};
+        units_[p]->chain = ChainState::Full(meta.checkpoint_version, 0);
       } else {
         // A chained shard: the manifest must name a well-formed chain whose top
         // IS the shard's checkpoint version — anything else is corruption, not
@@ -351,7 +321,8 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
           return CorruptionError("shard " + std::to_string(p) +
                                  " manifest chain does not end at the checkpoint version");
         }
-        units_[p]->chain = DeltaChain{meta.chain_base, meta.chain_deltas};
+        units_[p]->chain.base = meta.chain_base;
+        units_[p]->chain.deltas = meta.chain_deltas;
       }
     }
 
@@ -361,31 +332,15 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
     // deserializing.
     Status loaded = ForEachShardParallel([&](std::size_t p) -> Status {
       ShardUnit& unit = *units_[p];
-      SDB_ASSIGN_OR_RETURN(Bytes base,
-                           ReadWholeFile(vfs, CheckpointPath(p, unit.chain.base)));
-      unit.chain_base_bytes = base.size();
-      unit.chain_delta_bytes = 0;
+      const DeltaChain chain = unit.chain;
+      Result<Bytes> checkpoint = ReadChain(
+          vfs, *unit.app, chain, [&](std::uint64_t v) { return CheckpointPath(p, v); },
+          [&](std::uint64_t v) { return DeltaPath(p, v); }, &unit.chain);
+      if (!checkpoint.ok()) {
+        return checkpoint.status().WithContext("shard " + std::to_string(p));
+      }
       SDB_RETURN_IF_ERROR(unit.app->ResetState());
-      if (!unit.chain.has_deltas()) {
-        return unit.app->DeserializeState(AsSpan(base))
-            .WithContext("shard " + std::to_string(p));
-      }
-      std::vector<Bytes> deltas;
-      std::vector<ByteSpan> delta_spans;
-      deltas.reserve(unit.chain.deltas.size());
-      delta_spans.reserve(unit.chain.deltas.size());
-      for (std::uint64_t v : unit.chain.deltas) {
-        SDB_ASSIGN_OR_RETURN(Bytes delta, ReadWholeFile(vfs, DeltaPath(p, v)));
-        unit.chain_delta_bytes += delta.size();
-        deltas.push_back(std::move(delta));
-        delta_spans.push_back(AsSpan(deltas.back()));
-      }
-      Result<Bytes> composed = unit.app->ComposeCheckpoint(AsSpan(base), delta_spans);
-      if (!composed.ok()) {
-        return composed.status().WithContext("composing shard " + std::to_string(p) +
-                                             " chain");
-      }
-      return unit.app->DeserializeState(AsSpan(*composed))
+      return unit.app->DeserializeState(AsSpan(*checkpoint))
           .WithContext("shard " + std::to_string(p));
     });
     SDB_RETURN_IF_ERROR(loaded);
@@ -433,7 +388,8 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
   }
   SDB_RETURN_IF_ERROR(vfs.SyncDir(options_.dir));
 
-  SDB_ASSIGN_OR_RETURN(log_, OpenLogForAppend(log_generation_));
+  SDB_ASSIGN_OR_RETURN(
+      log_, OpenLogForAppend(vfs, LogPath(log_generation_), options_.log_writer));
 
   // A checkpoint records replay_from = the in-memory log size, which can run
   // ahead of the durable log end when an append's covering fsync failed (the
@@ -593,28 +549,20 @@ Status ShardedDatabase::CheckpointPhaseA(std::size_t p, ShardRotation* rotation)
   // committed record of shard p is already applied (or belongs to a failed,
   // unacknowledged batch — which replay is allowed to skip), so the log size read
   // below is a safe replay-from offset for the snapshot.
-  unit.committer->Pause();
-  PipelineResumer resumer(unit.committer.get());
+  PipelinePause pause(*unit.committer);
   SueLock::UpdateGuard guard(unit.lock);
   SDB_RETURN_IF_ERROR(CheckPoisoned());
   if (unit.poisoned.load(std::memory_order_relaxed)) {
     return InternalError("shard poisoned by an earlier apply failure; reopen to recover");
   }
-  bool want_delta = options_.delta_checkpoint.enabled;
-  if (want_delta) {
+  std::uint64_t chain_length;
+  {
     std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    // Ceiling: if compaction kept failing, force a full checkpoint to collapse
-    // the chain through the ordinary path.
-    want_delta =
-        unit.chain.length() < options_.delta_checkpoint.force_full_at_chain_length;
+    chain_length = unit.chain.length();
   }
-  if (want_delta) {
-    SDB_ASSIGN_OR_RETURN(rotation->serialize_delta, unit.app->CaptureDeltaSnapshot());
-    rotation->is_delta = rotation->serialize_delta != nullptr;
-  }
-  if (!rotation->is_delta) {
-    SDB_ASSIGN_OR_RETURN(rotation->serialize, unit.app->CaptureSnapshot());
-  }
+  SDB_ASSIGN_OR_RETURN(rotation->capture,
+                       CaptureCheckpoint(*unit.app, options_.delta_checkpoint.enabled,
+                                         chain_length, options_.delta_checkpoint));
   {
     // (generation, offset) must be one instant: a rotation swaps both together
     // under manifest_mu_.
@@ -628,17 +576,16 @@ Status ShardedDatabase::CheckpointPhaseA(std::size_t p, ShardRotation* rotation)
 
 Status ShardedDatabase::CheckpointPhaseB(std::size_t p, ShardRotation rotation) {
   ShardUnit& unit = *units_[p];
-  if (rotation.is_delta) {
+  if (rotation.capture.is_delta()) {
     SDB_RETURN_IF_ERROR(PersistShardDelta(p, std::move(rotation)));
   } else {
-    SDB_ASSIGN_OR_RETURN(Bytes snapshot, rotation.serialize());
+    SDB_ASSIGN_OR_RETURN(Bytes snapshot, rotation.capture.full());
 
-    std::uint64_t old_version;
+    std::uint64_t new_version;
     {
       std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-      old_version = unit.checkpoint_version;
+      new_version = unit.chain.top() + 1;
     }
-    std::uint64_t new_version = old_version + 1;
     SDB_RETURN_IF_ERROR(
         WriteWholeFile(*options_.vfs, CheckpointPath(p, new_version), AsSpan(snapshot)));
     SDB_RETURN_IF_ERROR(options_.vfs->SyncDir(options_.dir));
@@ -647,10 +594,7 @@ Status ShardedDatabase::CheckpointPhaseB(std::size_t p, ShardRotation rotation) 
     {
       std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
       old_chain = unit.chain;
-      unit.checkpoint_version = new_version;
-      unit.chain = DeltaChain{new_version, {}};
-      unit.chain_base_bytes = snapshot.size();
-      unit.chain_delta_bytes = 0;
+      unit.chain = ChainState::Full(new_version, snapshot.size());
       if (log_generation_ == rotation.generation) {
         unit.replay_from = std::max(unit.replay_from, rotation.replay_from);
       }
@@ -678,18 +622,17 @@ Status ShardedDatabase::CheckpointPhaseB(std::size_t p, ShardRotation rotation) 
 
 Status ShardedDatabase::PersistShardDelta(std::size_t p, ShardRotation rotation) {
   ShardUnit& unit = *units_[p];
-  Result<Application::DeltaSnapshot> delta = rotation.serialize_delta();
+  Result<Application::DeltaSnapshot> delta = rotation.capture.delta();
   if (!delta.ok()) {
     unit.app->AbandonDeltaCapture();
     return delta.status();
   }
 
-  std::uint64_t old_version;
+  std::uint64_t new_version;
   {
     std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    old_version = unit.checkpoint_version;
+    new_version = unit.chain.top() + 1;
   }
-  std::uint64_t new_version = old_version + 1;
   Status written =
       WriteWholeFile(*options_.vfs, DeltaPath(p, new_version), AsSpan(delta->bytes));
   if (written.ok()) {
@@ -706,9 +649,8 @@ Status ShardedDatabase::PersistShardDelta(std::size_t p, ShardRotation rotation)
   Status committed;
   {
     std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    unit.checkpoint_version = new_version;
     unit.chain.deltas.push_back(new_version);
-    unit.chain_delta_bytes += delta->bytes.size();
+    unit.chain.delta_bytes += delta->bytes.size();
     if (log_generation_ == rotation.generation) {
       unit.replay_from = std::max(unit.replay_from, rotation.replay_from);
     }
@@ -731,7 +673,7 @@ Status ShardedDatabase::PersistShardDelta(std::size_t p, ShardRotation rotation)
   bool compaction_due;
   {
     std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    compaction_due = CompactionDueLocked(unit);
+    compaction_due = unit.chain.CompactionDue(options_.delta_checkpoint);
   }
   if (compaction_due) {
     // Inline, while this shard's checkpoint slot is still held (our caller
@@ -744,20 +686,6 @@ Status ShardedDatabase::PersistShardDelta(std::size_t p, ShardRotation rotation)
     }
   }
   return OkStatus();
-}
-
-bool ShardedDatabase::CompactionDueLocked(const ShardUnit& unit) const {
-  if (!unit.chain.has_deltas()) {
-    return false;
-  }
-  const DeltaCheckpointOptions& opts = options_.delta_checkpoint;
-  if (opts.compact_after_deltas != 0 &&
-      unit.chain.deltas.size() >= opts.compact_after_deltas) {
-    return true;
-  }
-  return opts.compact_delta_base_ratio > 0 && unit.chain_base_bytes > 0 &&
-         static_cast<double>(unit.chain_delta_bytes) >=
-             opts.compact_delta_base_ratio * static_cast<double>(unit.chain_base_bytes);
 }
 
 Status ShardedDatabase::CompactShardChain(std::size_t p) {
@@ -773,19 +701,11 @@ Status ShardedDatabase::CompactShardChain(std::size_t p) {
 
   // Compose from the on-disk chain (not live state): ComposeCheckpoint is pure,
   // so no shard lock is needed and updates proceed throughout.
-  SDB_ASSIGN_OR_RETURN(Bytes base,
-                       ReadWholeFile(*options_.vfs, CheckpointPath(p, chain.base)));
-  std::vector<Bytes> deltas;
-  std::vector<ByteSpan> delta_spans;
-  deltas.reserve(chain.deltas.size());
-  delta_spans.reserve(chain.deltas.size());
-  for (std::uint64_t v : chain.deltas) {
-    SDB_ASSIGN_OR_RETURN(Bytes delta, ReadWholeFile(*options_.vfs, DeltaPath(p, v)));
-    deltas.push_back(std::move(delta));
-    delta_spans.push_back(AsSpan(deltas.back()));
-  }
-  SDB_ASSIGN_OR_RETURN(Bytes composed,
-                       unit.app->ComposeCheckpoint(AsSpan(base), delta_spans));
+  SDB_ASSIGN_OR_RETURN(
+      Bytes composed,
+      ReadChain(*options_.vfs, *unit.app, chain,
+                [&](std::uint64_t v) { return CheckpointPath(p, v); },
+                [&](std::uint64_t v) { return DeltaPath(p, v); }));
 
   std::uint64_t top = chain.top();
   Status written =
@@ -805,9 +725,7 @@ Status ShardedDatabase::CompactShardChain(std::size_t p) {
     // either way — checkpoint(top) and the full old chain both exist on disk —
     // so keep the collapsed view and just skip reclaiming the old files (the
     // reopen sweep finishes the job).
-    unit.chain = DeltaChain{top, {}};
-    unit.chain_base_bytes = composed.size();
-    unit.chain_delta_bytes = 0;
+    unit.chain = ChainState::Full(top, composed.size());
     SDB_RETURN_IF_ERROR(WriteManifestLocked());
   }
 
@@ -923,7 +841,8 @@ Result<bool> ShardedDatabase::MaybeRotateLog() {
   if (!closed.ok()) {
     SDB_LOG(kWarning) << "closing rotated-out shared log: " << closed;
   }
-  Result<std::unique_ptr<LogWriter>> new_log = OpenLogForAppend(new_generation);
+  Result<std::unique_ptr<LogWriter>> new_log =
+      OpenLogForAppend(*options_.vfs, LogPath(new_generation), options_.log_writer);
   if (!new_log.ok()) {
     // Manifest already names the (empty, durable) new generation but nothing can
     // append to it. Everything acknowledged is safe in the checkpoints; fail-stop.

@@ -5,10 +5,9 @@
 // we could either use multiple log files or a single log file with more complicated
 // rules for flushing the log."
 //
-// PartitionedDatabase demonstrates the first half (independent engines, per-partition
-// logs) and SharedLogDatabase the second (one log, the rotation rule) — each in
-// isolation and each with a serial commit path. This engine is the composition at
-// full concurrency:
+// PartitionedDatabase is the first option (independent engines, per-partition
+// logs). This engine is the second — one log, with the flushing rule below — at full
+// concurrency:
 //
 //   - N shards, each a complete per-shard unit: application state, SueLock,
 //     group-commit pipeline (PR 1's GroupCommitter, unchanged), metrics registry,
@@ -24,7 +23,12 @@
 //     offset it is current to), CheckpointAll staggers the per-shard snapshot stalls
 //     so at most one shard is stalled at an instant, and the shared log rotates only
 //     when every shard has checkpointed past its end — the paper's "more complicated
-//     rules for flushing the log".
+//     rules for flushing the log". The slowest-checkpointing shard gates reclamation.
+//   - A `manifest` file, replaced by atomic rename, binds the ensemble together: the
+//     live log generation and, per shard, its checkpoint chain and replay-from
+//     offset. Its rename is every checkpoint's, compaction's and rotation's commit
+//     point. A shard's delta chain follows the same rules as Database's (ChainState,
+//     ReadChain and CaptureCheckpoint in database.h); only this publish step differs.
 //   - Restart opens shards in parallel on a small thread pool: per-shard checkpoint
 //     loads, then one pass over the shared log bucketing entries per shard, then
 //     per-shard replay — shards are independent recovery units.
@@ -267,14 +271,11 @@ class ShardedDatabase {
     void ReleaseCheckpointSlot();
 
     // Guarded by the ensemble's manifest_mu_ (except during single-threaded Open).
-    std::uint64_t checkpoint_version = 0;
     std::uint64_t replay_from = 0;  // shared-log offset this shard is current to
     // The shard's checkpoint chain: p<p>.checkpoint<chain.base> plus
-    // p<p>.delta<v> for each v in chain.deltas. Invariant: chain.top() ==
-    // checkpoint_version. Byte tallies feed the compaction ratio trigger.
-    DeltaChain chain;
-    std::uint64_t chain_base_bytes = 0;
-    std::uint64_t chain_delta_bytes = 0;
+    // p<p>.delta<v> for each v in chain.deltas. chain.top() is the shard's
+    // checkpoint version.
+    ChainState chain;
 
     Result<std::uint64_t> BatchBegin() override;
     Status BatchApply(ByteSpan record) override;
@@ -286,12 +287,10 @@ class ShardedDatabase {
 
   // Checkpoint Phase A output: what Phase B needs to persist and publish.
   struct ShardRotation {
-    std::function<Result<Bytes>()> serialize;
-    // Delta capture: when the shard app granted a delta closure in Phase A,
-    // Phase B writes p<p>.delta<v> instead of a full checkpoint. Every Phase B
-    // failure path before the manifest mutation must AbandonDeltaCapture.
-    bool is_delta = false;
-    std::function<Result<Application::DeltaSnapshot>()> serialize_delta;
+    // A delta capture makes Phase B write p<p>.delta<v> instead of a full
+    // checkpoint. Every Phase B failure path before the manifest mutation must
+    // AbandonDeltaCapture.
+    CheckpointCapture capture;
     // The (generation, offset) instant the snapshot is current to. Phase B only
     // raises replay_from if the generation is unchanged — a rotation in between
     // already reset the offset for the fresh log.
@@ -312,13 +311,9 @@ class ShardedDatabase {
   // (sequential when 1); returns the first failure by shard index.
   Status ForEachShardParallel(const std::function<Status(std::size_t)>& fn);
   Status WriteManifestLocked();  // caller holds manifest_mu_
-  Result<std::unique_ptr<LogWriter>> OpenLogForAppend(std::uint64_t generation);
   Status CheckpointPhaseA(std::size_t p, ShardRotation* rotation);
   Status CheckpointPhaseB(std::size_t p, ShardRotation rotation);
   Status PersistShardDelta(std::size_t p, ShardRotation rotation);
-  // True iff shard p's chain crossed a compaction threshold (caller holds
-  // manifest_mu_).
-  bool CompactionDueLocked(const ShardUnit& unit) const;
   // Collapses shard p's chain into a full base at chain.top(). Called with p's
   // checkpoint slot held; failures leave the chain intact (retried next time).
   Status CompactShardChain(std::size_t p);

@@ -1,6 +1,6 @@
 // Commit-pipeline stage tracing.
 //
-// Every committed batch (or serial update) produces one CommitTrace: a per-stage
+// Every committed batch produces one CommitTrace: a per-stage
 // timing breakdown of the paper's update protocol as this engine executes it —
 //
 //   lock_wait   acquiring the update lock (paper: "An update lock is held...")

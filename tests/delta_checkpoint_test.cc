@@ -387,6 +387,46 @@ TEST_F(ShardedDeltaTest, ShardCompactionCollapsesAndStaleSweepKeepsLiveChains) {
   EXPECT_EQ(MergedState(), expected);
 }
 
+// force_full_at_chain_length means what it means for Database: 0 is no ceiling, so
+// a shard keeps writing deltas; N forces a full checkpoint once the chain is N long.
+TEST_F(ShardedDeltaTest, ForceFullCeilingMatchesSingleDatabase) {
+  auto checkpoint_three_times = [&](ShardedDatabase& db) {
+    for (int round = 0; round < 3; ++round) {
+      ASSERT_TRUE(db.Update(0, apps_[0]->PreparePut("a", "v" + std::to_string(round))).ok());
+      ASSERT_TRUE(db.Checkpoint(0).ok());
+    }
+  };
+  {
+    ShardedOptions options = Options();
+    options.dir = "ceiling0";
+    options.delta_checkpoint.force_full_at_chain_length = 0;
+    auto db = *OpenEnsemble(1, options);
+    checkpoint_three_times(*db);
+    EXPECT_TRUE(Exists("ceiling0/p0.delta2"));
+    EXPECT_TRUE(Exists("ceiling0/p0.delta3"));
+    EXPECT_TRUE(Exists("ceiling0/p0.delta4"));
+    EXPECT_TRUE(Exists("ceiling0/p0.checkpoint1"));
+    EXPECT_EQ(db->stats().delta_checkpoints, 3u);
+  }
+  ShardedOptions ceiling3 = Options();
+  ceiling3.dir = "ceiling3";
+  ceiling3.delta_checkpoint.force_full_at_chain_length = 3;
+  {
+    auto db = *OpenEnsemble(1, ceiling3);
+    checkpoint_three_times(*db);  // delta2, delta3 (chain length 3), then full
+    EXPECT_TRUE(Exists("ceiling3/p0.checkpoint4"));
+    EXPECT_FALSE(Exists("ceiling3/p0.delta4"));
+    // The full checkpoint superseded the chain; its files are reclaimed.
+    EXPECT_FALSE(Exists("ceiling3/p0.checkpoint1"));
+    EXPECT_FALSE(Exists("ceiling3/p0.delta2"));
+    EXPECT_FALSE(Exists("ceiling3/p0.delta3"));
+    EXPECT_EQ(db->stats().delta_checkpoints, 2u);
+  }
+  auto db = OpenEnsemble(1, ceiling3);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(apps_[0]->state["a"], "v2");
+}
+
 TEST_F(ShardedDeltaTest, ShardedConcurrentUpdatesDeltaCheckpointsAndCompaction) {
   // TSan target (matches the *Concurrent* filter): writers on every shard race
   // CheckpointAll's per-shard delta captures and inline compactions.

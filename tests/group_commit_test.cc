@@ -5,7 +5,8 @@
 //   - enquiries are never blocked while a commit batch is on the disk;
 //   - an apply failure poisons every waiter of the batch, and ReplaceState heals;
 //   - checkpoints interleave safely with concurrent writers;
-//   - the serial (group_commit.enabled = false) path still does one fsync per update;
+//   - with max_batch_records = 1 the pipeline does one fsync per update (the paper's
+//     base protocol), while an UpdateBatch still seals whole;
 //   - concurrent NameServer Sets mint gap-free replication sequence numbers even when
 //     their prepares share one batch.
 #include <gtest/gtest.h>
@@ -366,23 +367,70 @@ TEST(GroupCommitTest, CheckpointsInterleaveWithConcurrentWriters) {
 }
 
 TEST(GroupCommitTest, SerialPathDoesOneFsyncPerUpdate) {
+  // The paper's one-fsync-per-update protocol is the pipeline with
+  // max_batch_records = 1: concurrent Update callers and one UpdateMany of N each
+  // pay exactly one fsync per acknowledged update, even though a dilated fsync lets
+  // them pile up in the queue. An UpdateBatch of N prepares is one request, so it
+  // still seals whole and pays one.
   SimEnv env = MakeEnv();
+  SyncHookFs fs(env.fs());
+  std::atomic<bool> armed{false};
+  fs.set_hook([&armed] {
+    if (armed.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   TestApp app;
-  DatabaseOptions options = BaseOptions(env, env.fs());
-  options.group_commit.enabled = false;
-
+  DatabaseOptions options = BaseOptions(env, fs);
+  options.group_commit.max_batch_records = 1;
   auto db_or = Database::Open(app, options);
   ASSERT_TRUE(db_or.ok()) << db_or.status();
   std::unique_ptr<Database> db = std::move(*db_or);
+  armed.store(true);
 
-  ASSERT_TRUE(db->Update(app.PreparePut("a", "1")).ok());
-  ASSERT_TRUE(db->Update(app.PreparePut("b", "2")).ok());
-
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  std::vector<std::thread> writers;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        std::string key = "t" + std::to_string(t) + "-k" + std::to_string(i);
+        if (!db->Update(app.PreparePut(key, "v-" + key)).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : writers) {
+    w.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
   DatabaseStats stats = db->stats();
-  EXPECT_EQ(stats.updates, 2u);
-  EXPECT_EQ(stats.group_commit.syncs, 0u);  // pipeline not in play
-  EXPECT_EQ(db->log_writer_stats().commits, 2u);
-  EXPECT_EQ(db->log_writer_stats().entries_appended, 2u);
+  EXPECT_EQ(stats.updates, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(stats.group_commit.syncs, stats.updates);
+
+  std::vector<std::function<Result<Bytes>()>> many;
+  for (int i = 0; i < 8; ++i) {
+    many.push_back(app.PreparePut("many" + std::to_string(i), "v"));
+  }
+  for (const Status& status : db->UpdateMany(many)) {
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  stats = db->stats();
+  EXPECT_EQ(stats.updates, static_cast<std::uint64_t>(kThreads * kPerThread + 8));
+  EXPECT_EQ(stats.group_commit.syncs, stats.updates);
+
+  std::vector<std::function<Result<Bytes>()>> batch;
+  for (int i = 0; i < 4; ++i) {
+    batch.push_back(app.PreparePut("batch" + std::to_string(i), "v"));
+  }
+  ASSERT_TRUE(db->UpdateBatch(batch).ok());
+  armed.store(false);
+  DatabaseStats after = db->stats();
+  EXPECT_EQ(after.updates, stats.updates + 4);
+  EXPECT_EQ(after.group_commit.syncs, stats.group_commit.syncs + 1);
+  EXPECT_EQ(db->log_writer_stats().commits, after.group_commit.syncs);
 }
 
 TEST(GroupCommitTest, UpdateManySharesOneFsyncWithIndependentOutcomes) {
@@ -426,30 +474,6 @@ TEST(GroupCommitTest, UpdateManySharesOneFsyncWithIndependentOutcomes) {
   auto reopened = Database::Open(recovered, BaseOptions(env, env.fs()));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(recovered.state, app.state);
-}
-
-TEST(GroupCommitTest, UpdateManySerialFallbackKeepsOutcomesIndependent) {
-  // With the pipeline off, UpdateMany degrades to one commit per update — outcomes
-  // stay independent, just without the shared fsync.
-  SimEnv env = MakeEnv();
-  TestApp app;
-  DatabaseOptions options = BaseOptions(env, env.fs());
-  options.group_commit.enabled = false;
-  auto db_or = Database::Open(app, options);
-  ASSERT_TRUE(db_or.ok()) << db_or.status();
-  std::unique_ptr<Database> db = std::move(*db_or);
-
-  ASSERT_TRUE(db->Update(app.PreparePut("taken", "old")).ok());
-  std::vector<Status> outcomes = db->UpdateMany(
-      {app.PreparePut("a", "1"),
-       app.PreparePut("taken", "clobber", /*require_absent=*/true),
-       app.PreparePut("b", "2")});
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].ok());
-  EXPECT_TRUE(outcomes[1].Is(ErrorCode::kFailedPrecondition));
-  EXPECT_TRUE(outcomes[2].ok());
-  EXPECT_EQ(app.state.at("taken"), "old");
-  EXPECT_EQ(db->log_writer_stats().commits, 3u);  // one per successful update
 }
 
 TEST(GroupCommitTest, ConcurrentUpdateManyCallersCoalesceAcrossBatches) {

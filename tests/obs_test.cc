@@ -298,26 +298,6 @@ TEST_F(DatabaseObsTest, StageBreakdownSumsToEndToEndLatency) {
   EXPECT_GT(fsync->sum(), 0u);
 }
 
-TEST_F(DatabaseObsTest, SerialPathRecordsSameBreakdown) {
-  ScopedTiming timing(true);
-  TestApp app;
-  DatabaseOptions options = Options();
-  options.group_commit.enabled = false;
-  auto db = *Database::Open(app, options);
-
-  Micros t0 = env_->clock().NowMicros();
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(db->Update(app.PreparePut("k" + std::to_string(i), "v")).ok());
-  }
-  Micros elapsed = env_->clock().NowMicros() - t0;
-  ASSERT_GT(elapsed, 0);
-
-  const obs::Histogram* total = db->metrics().FindHistogram("commit.total_us");
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->count(), 8u);
-  EXPECT_EQ(total->sum(), static_cast<std::uint64_t>(elapsed));
-}
-
 TEST_F(DatabaseObsTest, DumpTraceCarriesPerCommitEvents) {
   ScopedTiming timing(true);
   TestApp app;

@@ -3,9 +3,9 @@
 // directory is then recovered with recovery_threads in {1, 2, 4, 8} and the pickled
 // application snapshot after each recovery is asserted identical to the serial
 // baseline. The matrix covers every log layout the engine can leave behind: a plain
-// checkpoint+log, a pending dual-log chain (rotation survived, persist did not), the
-// shared-log ensemble (per-partition replay_from offsets), and the sharded engine
-// (across-shard x within-shard parallelism through one pool).
+// checkpoint+log, a pending dual-log chain (rotation survived, persist did not), and
+// the sharded engine (per-shard replay_from offsets, across-shard x within-shard
+// parallelism through one pool).
 //
 // The suite name contains "Concurrent" on the batch-dispatch tests so the CI
 // thread-sanitizer job (filter *Concurrent*:*Parallel*) exercises the pool.
@@ -18,7 +18,6 @@
 
 #include "src/core/database.h"
 #include "src/core/parallel_replay.h"
-#include "src/core/shared_log.h"
 #include "src/core/sharded.h"
 #include "src/pickle/pickle.h"
 #include "src/sim/kv_app.h"
@@ -221,81 +220,11 @@ TEST(ParallelRecoveryTest, PendingChainRecoversByteIdenticalAtEveryThreadCount) 
   }
 }
 
-// Shared-log ensemble: the directory is rebuilt identically per thread count (the
-// simulated environment is deterministic), then recovered once. Partition 0
+// Sharded engine: across-shard parallelism composes with within-shard key batches
+// through the single shared pool. The directory is rebuilt identically per thread
+// count (the simulated environment is deterministic), then recovered once. Shard 0
 // checkpoints midway so the replay must honour its replay_from offset — skipped
 // entries must never reach the replayer's batches.
-TEST(ParallelRecoveryConcurrentTest, SharedLogEnsembleRecoversIdenticallyAtEveryThreadCount) {
-  constexpr int kPartitions = 3;
-  auto build_and_recover = [&](int threads, std::vector<Bytes>* snapshots,
-                               SharedLogStats* stats) {
-    SimEnvOptions env_options;
-    env_options.microvax_cost_model = false;
-    SimEnv env(env_options);
-    std::vector<std::unique_ptr<TestApp>> apps;
-    std::vector<Application*> raw;
-    for (int i = 0; i < kPartitions; ++i) {
-      apps.push_back(std::make_unique<TestApp>());
-      raw.push_back(apps.back().get());
-    }
-    SharedLogOptions options;
-    options.vfs = &env.fs();
-    options.dir = "ensemble";
-    options.clock = &env.clock();
-    {
-      auto db = SharedLogDatabase::Open(raw, options);
-      ASSERT_TRUE(db.ok()) << db.status();
-      for (int i = 0; i < 90; ++i) {
-        int p = i % kPartitions;
-        std::string key = "k" + std::to_string(i % 10);
-        ASSERT_TRUE(
-            (*db)->Update(p, apps[p]->PreparePut(key, "v" + std::to_string(i))).ok());
-        if (i == 45) {
-          ASSERT_TRUE((*db)->Checkpoint(0).ok());
-        }
-      }
-    }
-    env.fs().Crash();
-    ASSERT_TRUE(env.fs().Recover().ok());
-    for (auto& app : apps) {
-      app->state.clear();
-    }
-    options.recovery_threads = threads;
-    auto db = SharedLogDatabase::Open(raw, options);
-    ASSERT_TRUE(db.ok()) << "recovery_threads=" << threads << ": " << db.status();
-    *stats = (*db)->stats();
-    snapshots->clear();
-    for (auto& app : apps) {
-      auto snapshot = app->SerializeState();
-      ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-      snapshots->push_back(*snapshot);
-    }
-  };
-
-  std::vector<Bytes> baseline;
-  SharedLogStats serial;
-  build_and_recover(1, &baseline, &serial);
-  if (::testing::Test::HasFatalFailure()) {
-    return;
-  }
-  ASSERT_GT(serial.replay_skipped_entries, 0u);  // the offset path is exercised
-
-  for (int threads : kThreadCounts) {
-    SCOPED_TRACE("recovery_threads " + std::to_string(threads));
-    std::vector<Bytes> snapshots;
-    SharedLogStats stats;
-    build_and_recover(threads, &snapshots, &stats);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-    EXPECT_EQ(snapshots, baseline);
-    EXPECT_EQ(stats.replayed_entries, serial.replayed_entries);
-    EXPECT_EQ(stats.replay_skipped_entries, serial.replay_skipped_entries);
-  }
-}
-
-// Sharded engine: across-shard parallelism composes with within-shard key batches
-// through the single shared pool.
 TEST(ParallelRecoveryConcurrentTest, ShardedEnsembleRecoversIdenticallyAtEveryThreadCount) {
   constexpr int kShards = 4;
   auto build_and_recover = [&](int threads, std::vector<Bytes>* snapshots,
@@ -322,6 +251,9 @@ TEST(ParallelRecoveryConcurrentTest, ShardedEnsembleRecoversIdenticallyAtEveryTh
         ASSERT_TRUE(
             (*db)->UpdateKey(key, apps[shard]->PreparePut(key, "v" + std::to_string(i)))
                 .ok());
+        if (i == 60) {
+          ASSERT_TRUE((*db)->Checkpoint(0).ok());
+        }
       }
     }
     env.fs().Crash();
@@ -348,6 +280,7 @@ TEST(ParallelRecoveryConcurrentTest, ShardedEnsembleRecoversIdenticallyAtEveryTh
     return;
   }
   EXPECT_EQ(serial.replay_batches, 0u);
+  ASSERT_GT(serial.replay_skipped_entries, 0u);  // the offset path is exercised
 
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("recovery_threads " + std::to_string(threads));
@@ -359,6 +292,7 @@ TEST(ParallelRecoveryConcurrentTest, ShardedEnsembleRecoversIdenticallyAtEveryTh
     }
     EXPECT_EQ(snapshots, baseline);
     EXPECT_EQ(stats.replayed_entries, serial.replayed_entries);
+    EXPECT_EQ(stats.replay_skipped_entries, serial.replay_skipped_entries);
     if (threads > 1) {
       EXPECT_GT(stats.replay_batches, 0u);
       EXPECT_GE(stats.replay_threads_used, 1u);
