@@ -392,7 +392,6 @@ ChurnPoint MeasureChurn(double pct, std::size_t total_keys, std::size_t value_si
   options.dir = "db";
   options.clock = &env.clock();
   // No compaction mid-measurement: the point under test is one delta's size.
-  options.delta_checkpoint.background_compaction = false;
   options.delta_checkpoint.compact_after_deltas = 1000;
   options.delta_checkpoint.compact_delta_base_ratio = 0;
   auto db_or = Database::Open(app, options);

@@ -6,6 +6,9 @@
 //
 // This binary counts the reproduction's source lines per module at run time (the
 // source tree path is baked in at configure time) and prints them against the paper's.
+// `--enforce` fails the run when src/core grows past kCoreLineCeiling: the engine's
+// size is a tracked quantity, and raising the ceiling takes a measured reason.
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -41,7 +44,10 @@ std::uint64_t CountLines(const std::filesystem::path& root) {
   return lines;
 }
 
-void Run() {
+// The src/core line count (.cc + .h) the ceiling was last set at.
+constexpr std::uint64_t kCoreLineCeiling = 6006;
+
+int Run(bool enforce) {
   Banner("E11: code-size inventory (Section 6)",
          "checkpoint+log 638 lines; name-server semantics 1404; pickles 1648; RPC "
          "stubs 663+622 — the design's simplicity, in numbers");
@@ -50,7 +56,8 @@ void Run() {
 
   Table table({"module", "paper (Modula-2+ lines)", "this reproduction (C++ lines)",
                "notes"});
-  table.AddRow({"checkpoint + log engine", "638", Count(CountLines(src / "core")),
+  const std::uint64_t core_lines = CountLines(src / "core");
+  table.AddRow({"checkpoint + log engine", "638", Count(core_lines),
                 "includes recovery, policies, partitioning"});
   table.AddRow({"name-server database semantics", "1404",
                 Count(CountLines(src / "nameserver")),
@@ -69,12 +76,30 @@ void Run() {
   table.AddRow({"file-directory service", "-", Count(CountLines(src / "dirsvc")),
                 "a second application on the engine (Section 1's list)"});
   table.Print();
+
+  if (enforce) {
+    if (core_lines == 0 || core_lines > kCoreLineCeiling) {
+      std::printf("enforce: FAIL (src/core %llu lines, ceiling %llu)\n",
+                  static_cast<unsigned long long>(core_lines),
+                  static_cast<unsigned long long>(kCoreLineCeiling));
+      return 1;
+    }
+    std::printf("enforce: OK (src/core %llu lines <= %llu)\n",
+                static_cast<unsigned long long>(core_lines),
+                static_cast<unsigned long long>(kCoreLineCeiling));
+  }
+  return 0;
 }
 
 }  // namespace
 }  // namespace sdb::bench
 
-int main() {
-  sdb::bench::Run();
-  return 0;
+int main(int argc, char** argv) {
+  bool enforce = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--enforce") == 0) {
+      enforce = true;
+    }
+  }
+  return sdb::bench::Run(enforce);
 }

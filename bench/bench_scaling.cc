@@ -53,10 +53,18 @@ void SizeSweep() {
   table.Print();
 }
 
+// The longest update stall a unit's checkpoints caused: its checkpoint.stall_us
+// histogram holds the update-lock hold of each snapshot capture and log rotation.
+// With concurrent checkpoints that is all updates wait for; the file write and the
+// publish run with updates flowing.
+Micros LongestStall(obs::Registry& registry) {
+  return static_cast<Micros>(registry.GetHistogram("checkpoint.stall_us").Snapshot().max);
+}
+
 void PartitioningComparison() {
   std::printf("\nSection 7 extension: one 2 MB database vs 4 partitions of 512 KB\n");
   Table table({"configuration", "total checkpoint work (sim)",
-               "max single stall (sim)", "notes"});
+               "longest Checkpoint() call (sim)", "longest update stall (sim)", "notes"});
 
   // Monolithic.
   {
@@ -67,8 +75,10 @@ void PartitioningComparison() {
       return;
     }
     Micros elapsed = clock.NowMicros() - start;
+    Micros stall = LongestStall(fixture.server->database().metrics());
     table.AddRow({"monolithic 2 MB", Secs(static_cast<double>(elapsed)),
-                  Secs(static_cast<double>(elapsed)), "updates stalled for the whole time"});
+                  Secs(static_cast<double>(elapsed)), Secs(static_cast<double>(stall)),
+                  "updates wait only for the capture (a full serialize here); the write runs unlocked"});
   }
 
   // Partitioned: four engine instances, checkpointed one at a time.
@@ -101,19 +111,21 @@ void PartitioningComparison() {
       }
     }
     Micros total = 0;
+    Micros max_call = 0;
     Micros max_stall = 0;
     for (std::size_t p = 0; p < 4; ++p) {
       Micros start = env.clock().NowMicros();
       if (!db->partition(p).Checkpoint().ok()) {
         return;
       }
-      Micros stall = env.clock().NowMicros() - start;
-      total += stall;
-      max_stall = std::max(max_stall, stall);
+      Micros call = env.clock().NowMicros() - start;
+      total += call;
+      max_call = std::max(max_call, call);
+      max_stall = std::max(max_stall, LongestStall(db->partition(p).metrics()));
     }
     table.AddRow({"4 partitions x ~512 KB", Secs(static_cast<double>(total)),
-                  Secs(static_cast<double>(max_stall)),
-                  "only one partition stalled at a time"});
+                  Secs(static_cast<double>(max_call)), Secs(static_cast<double>(max_stall)),
+                  "only one partition's updates wait, for its capture"});
   }
 
   // The paper's other option: "a single log file with more complicated rules for
@@ -148,15 +160,17 @@ void PartitioningComparison() {
       }
     }
     Micros total = 0;
+    Micros max_call = 0;
     Micros max_stall = 0;
     for (std::size_t p = 0; p < 4; ++p) {
       Micros start = env.clock().NowMicros();
       if (!db->Checkpoint(p).ok()) {
         return;
       }
-      Micros stall = env.clock().NowMicros() - start;
-      total += stall;
-      max_stall = std::max(max_stall, stall);
+      Micros call = env.clock().NowMicros() - start;
+      total += call;
+      max_call = std::max(max_call, call);
+      max_stall = std::max(max_stall, LongestStall(db->shard_metrics(p)));
     }
     std::uint64_t before_rotation = db->log_bytes();
     bool rotated = *db->MaybeRotateLog();
@@ -166,7 +180,8 @@ void PartitioningComparison() {
                   rotated ? "rotation reclaimed" : "could not reclaim",
                   static_cast<std::size_t>(before_rotation) / 1024);
     table.AddRow({"4 shards, ONE shared log", Secs(static_cast<double>(total)),
-                  Secs(static_cast<double>(max_stall)), note});
+                  Secs(static_cast<double>(max_call)), Secs(static_cast<double>(max_stall)),
+                  note});
   }
   table.Print();
 }

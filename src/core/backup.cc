@@ -1,7 +1,5 @@
 #include "src/core/backup.h"
 
-#include <charconv>
-
 #include "src/core/version_store.h"
 
 namespace sdb {
@@ -16,6 +14,28 @@ Status CopyFile(Vfs& src_vfs, const std::string& src_path, Vfs& dst_vfs,
   return WriteWholeFile(dst_vfs, dst_path, AsSpan(data));
 }
 
+// Copies the generation's log, plus the rotated logs and the marker of a pending
+// concurrent-checkpoint rotation, so the copy replays them too.
+Status CopyLogs(Vfs& src_vfs, const VersionStore& src_names, Vfs& dst_vfs,
+                VersionStore& dst_names, const VersionState& state, std::uint64_t* bytes) {
+  *bytes = 0;
+  std::vector<std::uint64_t> logs{state.version};
+  logs.insert(logs.end(), state.pending_log_versions.begin(),
+              state.pending_log_versions.end());
+  for (std::uint64_t v : logs) {
+    std::uint64_t log_bytes = 0;
+    SDB_RETURN_IF_ERROR(CopyFile(src_vfs, src_names.LogPath(v), dst_vfs,
+                                 dst_names.LogPath(v), &log_bytes)
+                            .WithContext("copying log"));
+    *bytes += log_bytes;
+  }
+  if (!state.pending_log_versions.empty()) {
+    SDB_RETURN_IF_ERROR(WriteWholeFile(dst_vfs, dst_names.PendingMarkerPath(),
+                                       AsSpan(std::to_string(state.live_log_version))));
+  }
+  return dst_vfs.SyncDir(dst_names.dir());
+}
+
 // Copies one generation between directories; the shared body of backup and restore.
 Result<BackupInfo> CopyGeneration(Vfs& src_vfs, const std::string& src_dir, Vfs& dst_vfs,
                                   const std::string& dst_dir) {
@@ -28,52 +48,12 @@ Result<BackupInfo> CopyGeneration(Vfs& src_vfs, const std::string& src_dir, Vfs&
     return FailedPreconditionError("destination already contains a database: " + dst_dir);
   }
 
-  // Resolve the source generation (read-only: consult version, then newversion as the
-  // fallback the protocol allows).
-  Result<Bytes> version_bytes = ReadWholeFile(src_vfs, JoinPath(src_dir, "version"));
-  if (!version_bytes.ok()) {
-    version_bytes = ReadWholeFile(src_vfs, JoinPath(src_dir, "newversion"));
-  }
-  if (!version_bytes.ok()) {
-    return NotFoundError("no database in " + src_dir);
-  }
-  std::uint64_t version = 0;
-  {
-    std::string_view text = AsStringView(AsSpan(*version_bytes));
-    auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), version);
-    if (ec != std::errc() || ptr != text.data() + text.size() || version == 0) {
-      return CorruptionError("unparseable version file in " + src_dir);
-    }
-  }
-
+  // Resolve the source generation by the restart rule (newversion before version),
+  // with its delta chain and pending logs, and with no side effects.
+  SDB_ASSIGN_OR_RETURN(VersionState state, src_names.PeekCurrent());
   BackupInfo info;
-  info.version = version;
-
-  // Resolve the generation's delta chain: with a live manifest covering `version`,
-  // the checkpoint is checkpoint(base) + delta files, all of which must travel.
-  // (Same rules as recovery: a manifest whose top is below `version` was superseded
-  // by a full switch; `version` outside the chain is corruption.)
-  DeltaChain chain{version, {}};
-  SDB_ASSIGN_OR_RETURN(std::optional<DeltaChain> manifest, src_names.ReadManifest());
-  if (manifest.has_value() && manifest->top() >= version) {
-    if (version < manifest->base) {
-      return CorruptionError("delta manifest in " + src_dir +
-                             " names a base beyond the current version");
-    }
-    chain.base = manifest->base;
-    bool found = version == manifest->base;
-    for (std::uint64_t v : manifest->deltas) {
-      if (v <= version) {
-        chain.deltas.push_back(v);
-        found |= v == version;
-      }
-    }
-    if (!found) {
-      return CorruptionError("delta manifest in " + src_dir +
-                             " skips the current version");
-    }
-  }
-
+  info.version = state.version;
+  const DeltaChain& chain = state.chain;
   SDB_RETURN_IF_ERROR(CopyFile(src_vfs, src_names.CheckpointPath(chain.base), dst_vfs,
                                dst_names.CheckpointPath(chain.base), &info.checkpoint_bytes)
                           .WithContext("copying checkpoint"));
@@ -88,54 +68,14 @@ Result<BackupInfo> CopyGeneration(Vfs& src_vfs, const std::string& src_dir, Vfs&
     SDB_RETURN_IF_ERROR(
         dst_names.PublishManifest(chain).WithContext("publishing backup manifest"));
   }
-  SDB_RETURN_IF_ERROR(CopyFile(src_vfs, src_names.LogPath(version), dst_vfs,
-                               dst_names.LogPath(version), &info.log_bytes)
-                          .WithContext("copying log"));
-  // A pending concurrent-checkpoint rotation extends the generation with rotated
-  // logs; copy the chain and the marker so the restored directory replays them too.
-  SDB_ASSIGN_OR_RETURN(std::optional<std::uint64_t> pending, src_names.ReadPendingMarker());
-  if (pending.has_value() && *pending > version) {
-    for (std::uint64_t v = version + 1; v <= *pending; ++v) {
-      std::uint64_t chain_bytes = 0;
-      SDB_RETURN_IF_ERROR(CopyFile(src_vfs, src_names.LogPath(v), dst_vfs,
-                                   dst_names.LogPath(v), &chain_bytes)
-                              .WithContext("copying rotated log"));
-      info.log_bytes += chain_bytes;
-    }
-    SDB_RETURN_IF_ERROR(WriteWholeFile(dst_vfs, dst_names.PendingMarkerPath(),
-                                       AsSpan(std::to_string(*pending))));
-  }
-  SDB_RETURN_IF_ERROR(dst_vfs.SyncDir(dst_dir));
+  SDB_RETURN_IF_ERROR(CopyLogs(src_vfs, src_names, dst_vfs, dst_names, state, &info.log_bytes));
   SDB_RETURN_IF_ERROR(WriteWholeFile(dst_vfs, JoinPath(dst_dir, "version"),
-                                     AsSpan(std::to_string(version))));
+                                     AsSpan(std::to_string(state.version))));
   SDB_RETURN_IF_ERROR(dst_vfs.SyncDir(dst_dir));
   return info;
 }
 
 }  // namespace
-
-// Reads a directory's current version number (version, falling back to newversion),
-// or nullopt if there is no database there.
-Result<std::optional<std::uint64_t>> ReadCurrentVersion(Vfs& vfs, const std::string& dir) {
-  for (const char* name : {"version", "newversion"}) {
-    std::string path = JoinPath(dir, name);
-    SDB_ASSIGN_OR_RETURN(bool exists, vfs.Exists(path));
-    if (!exists) {
-      continue;
-    }
-    Result<Bytes> content = ReadWholeFile(vfs, path);
-    if (!content.ok()) {
-      continue;
-    }
-    std::string_view text = AsStringView(AsSpan(*content));
-    std::uint64_t version = 0;
-    auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), version);
-    if (ec == std::errc() && ptr == text.data() + text.size() && version != 0) {
-      return {std::optional<std::uint64_t>{version}};
-    }
-  }
-  return {std::optional<std::uint64_t>{}};
-}
 
 Result<BackupInfo> BackupDatabaseDir(Vfs& src_vfs, const std::string& src_dir, Vfs& dst_vfs,
                                      const std::string& dst_dir) {
@@ -148,50 +88,23 @@ Result<IncrementalBackupInfo> IncrementalBackupDatabaseDir(Vfs& src_vfs,
                                                            const std::string& dst_dir) {
   IncrementalBackupInfo result;
   SDB_RETURN_IF_ERROR(dst_vfs.CreateDir(dst_dir));
-  SDB_ASSIGN_OR_RETURN(std::optional<std::uint64_t> src_version,
-                       ReadCurrentVersion(src_vfs, src_dir));
-  if (!src_version.has_value()) {
-    return NotFoundError("no database in " + src_dir);
-  }
-  SDB_ASSIGN_OR_RETURN(std::optional<std::uint64_t> dst_version,
-                       ReadCurrentVersion(dst_vfs, dst_dir));
-
   VersionStore src_names(src_vfs, src_dir);
   VersionStore dst_names(dst_vfs, dst_dir);
+  SDB_ASSIGN_OR_RETURN(VersionState src, src_names.PeekCurrent());
 
   // Same version is only "checkpoint unchanged" if the delta chain also matches:
   // compaction collapses a chain without bumping the version, so a stale backup
   // manifest could otherwise reference files the refresh never copied.
-  bool chain_matches = false;
-  if (dst_version.has_value() && *dst_version == *src_version) {
-    SDB_ASSIGN_OR_RETURN(std::optional<DeltaChain> src_manifest, src_names.ReadManifest());
-    SDB_ASSIGN_OR_RETURN(std::optional<DeltaChain> dst_manifest, dst_names.ReadManifest());
-    chain_matches = src_manifest.has_value() == dst_manifest.has_value() &&
-                    (!src_manifest.has_value() ||
-                     (src_manifest->base == dst_manifest->base &&
-                      src_manifest->deltas == dst_manifest->deltas));
-  }
-  if (chain_matches) {
-    // Incremental: the checkpoint (chain) is unchanged; only the log grew.
+  Result<VersionState> dst = dst_names.PeekCurrent();  // fails on an empty backup
+  if (dst.ok() && dst->version == src.version && dst->chain.base == src.chain.base &&
+      dst->chain.deltas == src.chain.deltas) {
+    // Incremental: the checkpoint (chain) is unchanged; only the logs grew.
     result.incremental = true;
-    result.info.version = *src_version;
-    SDB_RETURN_IF_ERROR(CopyFile(src_vfs, src_names.LogPath(*src_version), dst_vfs,
-                                 dst_names.LogPath(*src_version), &result.info.log_bytes)
-                            .WithContext("refreshing backup log"));
-    SDB_ASSIGN_OR_RETURN(std::optional<std::uint64_t> pending, src_names.ReadPendingMarker());
-    if (pending.has_value() && *pending > *src_version) {
-      for (std::uint64_t v = *src_version + 1; v <= *pending; ++v) {
-        std::uint64_t chain_bytes = 0;
-        SDB_RETURN_IF_ERROR(CopyFile(src_vfs, src_names.LogPath(v), dst_vfs,
-                                     dst_names.LogPath(v), &chain_bytes)
-                                .WithContext("refreshing rotated log"));
-        result.info.log_bytes += chain_bytes;
-      }
-      SDB_RETURN_IF_ERROR(WriteWholeFile(dst_vfs, dst_names.PendingMarkerPath(),
-                                         AsSpan(std::to_string(*pending))));
-    }
-    SDB_RETURN_IF_ERROR(dst_vfs.SyncDir(dst_dir));
-    auto checkpoint = ReadWholeFile(dst_vfs, dst_names.CheckpointPath(*src_version));
+    result.info.version = src.version;
+    SDB_RETURN_IF_ERROR(
+        CopyLogs(src_vfs, src_names, dst_vfs, dst_names, src, &result.info.log_bytes)
+            .WithContext("refreshing backup"));
+    auto checkpoint = ReadWholeFile(dst_vfs, dst_names.CheckpointPath(src.chain.base));
     if (checkpoint.ok()) {
       result.info.checkpoint_bytes = checkpoint->size();
     }

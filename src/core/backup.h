@@ -8,10 +8,12 @@
 // that Database::Open recovers normally.
 //
 // Safety: run against a quiescent database (closed, or no checkpoint concurrently).
-// The copy reads `version` first and the generation's files after, so a concurrent
-// *update* merely truncates the backup's log at a clean entry boundary (replay
-// discards any torn tail); a concurrent *checkpoint switch* can make the named
-// generation disappear mid-copy, which fails the backup cleanly.
+// The copy resolves the generation first, by the restart rule (VersionStore::
+// PeekCurrent: `newversion` before `version`, with the delta chain and pending logs),
+// and copies its files after, so a concurrent *update* merely truncates the backup's
+// log at a clean entry boundary (replay discards any torn tail); a concurrent
+// *checkpoint switch* can make the named generation disappear mid-copy, which fails
+// the backup cleanly.
 #ifndef SMALLDB_SRC_CORE_BACKUP_H_
 #define SMALLDB_SRC_CORE_BACKUP_H_
 

@@ -20,164 +20,29 @@
 // pipeline instead of on the update lock. group_commit.max_batch_records = 1 gives
 // the paper's one fsync per update.
 //
-// The engine is application-agnostic: the Application interface supplies state
-// (de)serialization and update application; the engine owns locking, logging,
-// checkpointing and recovery.
+// The engine is application-agnostic: the Application interface (engine_unit.h)
+// supplies state (de)serialization and update application. Everything per
+// application — locking, the commit pipeline, checkpoint persist and compaction —
+// is one EngineUnit; this class adds the paper's files: the log generations, the
+// version-file switch and recovery.
 #ifndef SMALLDB_SRC_CORE_DATABASE_H_
 #define SMALLDB_SRC_CORE_DATABASE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "src/common/bytes.h"
 #include "src/common/clock.h"
 #include "src/common/cost_model.h"
-#include "src/common/result.h"
-#include "src/common/status.h"
-#include "src/core/group_commit.h"
+#include "src/core/engine_unit.h"
 #include "src/core/log_reader.h"
 #include "src/core/log_writer.h"
-#include "src/core/sue_lock.h"
-#include "src/core/version_store.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
-#include "src/storage/vfs.h"
 
 namespace sdb {
-
-// What the application supplies. All calls are made with appropriate engine locking:
-// SerializeState under at least update mode (state cannot change underneath it),
-// ApplyUpdate under exclusive mode (or during single-threaded recovery), the rest
-// during Open only.
-class Application {
- public:
-  virtual ~Application() = default;
-
-  // Resets the in-memory state to the initial (empty) database.
-  virtual Status ResetState() = 0;
-
-  // Converts the entire in-memory state to checkpoint bytes (PickleWrite of the root).
-  virtual Result<Bytes> SerializeState() = 0;
-
-  // Replaces the in-memory state from checkpoint bytes (PickleRead).
-  virtual Status DeserializeState(ByteSpan data) = 0;
-
-  // Applies one logged update record to the in-memory state. Called both for live
-  // updates (after their log entry committed) and during restart replay. Must be
-  // deterministic and must succeed for any record that passed its precondition check;
-  // a failure here poisons the database (see Database::Update).
-  virtual Status ApplyUpdate(ByteSpan record) = 0;
-
-  // --- parallel replay (optional; see src/core/parallel_replay.h) ---
-  //
-  // A REDO-only log admits key-partitioned parallel replay: entries touching
-  // different keys commute, so restart can apply key-disjoint batches on multiple
-  // cores and still land on the exact serial-replay state. An application opts in
-  // by overriding the three hooks below; the defaults keep replay fully serial.
-
-  // A private apply context for one key-batch. Workers call Apply concurrently on
-  // DIFFERENT contexts (never the live state); each context sees its batch's
-  // records in log order. Implementations accumulate effects locally — typically a
-  // key -> last-effect map — for MergeReplayBatch to fold in later.
-  class ReplayBatch {
-   public:
-    virtual ~ReplayBatch() = default;
-    virtual Status Apply(ByteSpan record) = 0;
-  };
-
-  // Extracts the logged update's target key into *key. Returning false declares
-  // the record's footprint unknown; the replayer then applies this application's
-  // whole stream in log order (correct for any record mix, just not parallel).
-  virtual bool ReplayKeyOf(ByteSpan record, std::string* key) {
-    (void)record;
-    (void)key;
-    return false;
-  }
-
-  // Creates an empty per-batch context. Null (the default) means the application
-  // does not support batched replay.
-  virtual std::unique_ptr<ReplayBatch> StartReplayBatch() { return nullptr; }
-
-  // Folds one batch's effects into the live state. Called single-threaded, only
-  // after every batch of the replay applied cleanly (fail-stop: a failed replay
-  // merges nothing). Batches are key-disjoint, so merge order cannot matter.
-  virtual Status MergeReplayBatch(ReplayBatch& batch) {
-    (void)batch;
-    return UnimplementedError("application does not support batched replay");
-  }
-
-  // Captures a consistent snapshot under the update lock and returns a closure that
-  // produces the checkpoint bytes later, with no engine lock held (the concurrent
-  // checkpoint's background phase). The default captures eagerly: it serializes the
-  // whole state up front — a memory-speed stall with no disk I/O under the lock — and
-  // the closure just hands the bytes over. Applications with cheaper consistent-
-  // snapshot machinery (copy-on-write structures, frozen delta layers) override this
-  // so the stall is O(recent changes) instead of O(database). The closure is invoked
-  // at most once, possibly from a background thread; it must not touch engine state.
-  virtual Result<std::function<Result<Bytes>()>> CaptureSnapshot() {
-    SDB_ASSIGN_OR_RETURN(Bytes snapshot, SerializeState());
-    auto holder = std::make_shared<Bytes>(std::move(snapshot));
-    return std::function<Result<Bytes>()>(
-        [holder]() -> Result<Bytes> { return std::move(*holder); });
-  }
-
-  // --- incremental (delta) checkpoints (optional; see DESIGN.md delta chains) ---
-  //
-  // An application that tracks which objects changed since the last capture can make
-  // checkpoints O(churn): CaptureDeltaSnapshot stages just the dirty window and the
-  // engine writes it as a delta composing over the previous checkpoint chain. The
-  // dirty-tracking contract:
-  //   - ApplyUpdate AND MergeReplayBatch mark touched objects dirty (replay at
-  //     recovery must repopulate the window: the first post-restart delta covers
-  //     exactly the log entries replayed on top of the chain).
-  //   - DeserializeState clears the tracking (the loaded state is chain-covered).
-  //   - A full CaptureSnapshot leaves the window untouched — a later delta may then
-  //     be a superset of the churn, which is harmless (re-captured objects carry
-  //     their current values; deletions are idempotent tombstones).
-  // Commit/Abandon may run on a background persist thread concurrently with
-  // ApplyUpdate, so implementations guard their dirty structures with a small mutex.
-
-  struct DeltaSnapshot {
-    Bytes bytes;
-    std::uint64_t objects = 0;  // dirty objects captured (metrics only)
-  };
-
-  // Stages the dirty window under the update lock and returns a closure producing
-  // the delta bytes later with no engine lock held (same shape as CaptureSnapshot —
-  // the closure must copy values at capture time, never read live state). Clears the
-  // dirty tracking: the staged window is now the engine's to persist. Returning a
-  // null function (the default) declares delta capture unsupported; the engine falls
-  // back to a full CaptureSnapshot.
-  virtual Result<std::function<Result<DeltaSnapshot>()>> CaptureDeltaSnapshot() {
-    return std::function<Result<DeltaSnapshot>()>{};
-  }
-
-  // The staged delta is durable and referenced by the chain; drop the staged window.
-  virtual void CommitDeltaCapture() {}
-
-  // The persist failed or aborted: fold the staged window back into the dirty set so
-  // the next capture re-covers it.
-  virtual void AbandonDeltaCapture() {}
-
-  // Pure composition: applies each delta (in order) over the base checkpoint bytes
-  // and returns the equivalent full-checkpoint bytes. Must not touch live state —
-  // both background compaction and restart use it, and the result must be
-  // byte-identical to what SerializeState would have produced for the composed
-  // state. Required once CaptureDeltaSnapshot returns a closure.
-  virtual Result<Bytes> ComposeCheckpoint(ByteSpan base,
-                                          const std::vector<ByteSpan>& deltas) {
-    (void)base;
-    (void)deltas;
-    return UnimplementedError("application does not support delta checkpoints");
-  }
-};
 
 // When to take an automatic checkpoint (checked after each update). All triggers are
 // OR-ed; zero disables a trigger. Default: manual checkpoints only — the paper's
@@ -187,80 +52,6 @@ struct CheckpointPolicy {
   std::uint64_t log_bytes_threshold = 0;
   Micros interval_micros = 0;
 };
-
-// Incremental (delta) checkpointing: when the application supports
-// CaptureDeltaSnapshot, checkpoints write only the dirty window as delta<N>
-// composing over the previous base (see version_store.h for the on-disk chain
-// protocol), and a background compactor collapses the chain into a new full base
-// when it grows past the thresholds below.
-struct DeltaCheckpointOptions {
-  // Master switch. Even when true, delta mode only engages if the application
-  // supports delta capture AND neither keep_previous_checkpoint nor
-  // fallback_to_previous_checkpoint is set (the previous-generation hard-error
-  // fallback assumes self-contained checkpoints).
-  bool enabled = true;
-
-  // Compact once the chain holds this many deltas...
-  std::uint64_t compact_after_deltas = 8;
-  // ...or once accumulated delta bytes reach this fraction of the base's bytes.
-  double compact_delta_base_ratio = 0.5;
-
-  // Hard ceiling: if a chain somehow reaches this length (compaction kept
-  // failing), the next checkpoint is forced full, collapsing the chain through
-  // the ordinary full-switch path.
-  std::uint64_t force_full_at_chain_length = 32;
-
-  // Run compaction on a background thread (sharing the single-flight checkpoint
-  // slot). When false, compaction runs synchronously at the end of the
-  // checkpoint that crossed the threshold — the deterministic mode the sim
-  // harness uses.
-  bool background_compaction = true;
-};
-
-// The delta-chain rules both engines share: Database keeps one chain, a
-// ShardedDatabase one per shard. The engines differ only in where the files live
-// and in how a checkpoint is published (the version-file switch, or the ensemble
-// manifest rename).
-struct ChainState : DeltaChain {
-  std::uint64_t base_bytes = 0;   // size of checkpoint(base)
-  std::uint64_t delta_bytes = 0;  // summed size of the deltas
-
-  // A self-contained checkpoint at `version`: after a fresh init, a full checkpoint
-  // or a compaction.
-  static ChainState Full(std::uint64_t version, std::uint64_t bytes) {
-    return ChainState{DeltaChain{version, {}}, bytes, 0};
-  }
-
-  // True once the chain crossed compact_after_deltas or compact_delta_base_ratio.
-  bool CompactionDue(const DeltaCheckpointOptions& options) const;
-};
-
-// Maps a version to the engine's checkpoint or delta file for it.
-using ChainPathFn = std::function<std::string(std::uint64_t version)>;
-
-// Reads checkpoint(chain.base) and each delta in manifest order, and composes them
-// through Application::ComposeCheckpoint into the equivalent full-checkpoint bytes.
-// A chain without deltas is its base, returned as read. On success `*loaded` (when
-// given) holds the chain with its byte counts.
-Result<Bytes> ReadChain(Vfs& vfs, Application& app, const DeltaChain& chain,
-                        const ChainPathFn& checkpoint_path, const ChainPathFn& delta_path,
-                        ChainState* loaded = nullptr);
-
-// A checkpoint's snapshot closure, captured under the update lock: `delta` when the
-// checkpoint extends the chain, otherwise `full`.
-struct CheckpointCapture {
-  std::function<Result<Bytes>()> full;
-  std::function<Result<Application::DeltaSnapshot>()> delta;
-  bool is_delta() const { return static_cast<bool>(delta); }
-};
-
-// The delta-or-full decision, made under the update lock: a delta when `delta_mode`
-// is on, the chain is shorter than force_full_at_chain_length (0 = no ceiling; a
-// chain that long means compaction kept failing) and the application grants a delta
-// closure; otherwise a full snapshot, which collapses the chain.
-Result<CheckpointCapture> CaptureCheckpoint(Application& app, bool delta_mode,
-                                            std::uint64_t chain_length,
-                                            const DeltaCheckpointOptions& options);
 
 struct DatabaseOptions {
   Vfs* vfs = nullptr;
@@ -312,15 +103,9 @@ struct DatabaseOptions {
   // is the benchmark baseline and an escape hatch.
   bool concurrent_checkpoint = true;
 
-  // Incremental checkpoints (delta chains + background compaction).
+  // Incremental checkpoints (delta chains, compacted by the checkpoint that grows
+  // them past a threshold).
   DeltaCheckpointOptions delta_checkpoint;
-};
-
-struct CheckpointBreakdown {
-  Micros stall_micros = 0;      // update-lock hold: snapshot capture + log rotation
-  Micros serialize_micros = 0;  // PickleWrite of the whole state (capture + closure)
-  Micros disk_micros = 0;       // checkpoint + log file writes and the switch commit
-  Micros total_micros = 0;
 };
 
 struct RestartBreakdown {
@@ -366,7 +151,7 @@ struct DatabaseStats {
   GroupCommitStats group_commit;
 };
 
-class Database : private GroupCommitHost {
+class Database : private ChainLayout {
  public:
   // Opens (or creates) the database in options.dir, recovering state into `app`:
   // determine the current version, load its checkpoint, replay its log. The
@@ -428,7 +213,9 @@ class Database : private GroupCommitHost {
   // enquiries proceed, updates wait for the whole write. Either way the commit
   // pipeline is quiesced around the rotation so the log is never switched under an
   // in-flight batch, and this call returns only after the checkpoint is durable (or
-  // failed). At most one checkpoint runs at a time; callers queue.
+  // failed) — and, when the delta it wrote grew the chain past a compaction
+  // threshold, after the chain is compacted. At most one checkpoint runs at a time;
+  // callers queue.
   Status Checkpoint();
 
   // Replaces the entire in-memory state and immediately checkpoints it, discarding the
@@ -454,7 +241,7 @@ class Database : private GroupCommitHost {
   // commit totals, checkpoint phase histograms, and the db.* counters DatabaseStats
   // mirrors. Process-wide subsystem metrics (vfs.*, rpc.*, heap.*, pickle.*) live in
   // obs::GlobalRegistry().
-  obs::Registry& metrics() { return registry_; }
+  obs::Registry& metrics() { return unit_->registry(); }
 
   // Human-readable report: every metric in this database's registry, one line each,
   // histograms as count/mean/p50/p95/p99/max. The per-stage commit breakdown is the
@@ -473,9 +260,7 @@ class Database : private GroupCommitHost {
   // state that the same batch will modify (e.g. replication sequence numbers) compare
   // this across prepares to detect "the state I read has pending, not-yet-applied
   // records in front of it"; see NameServer::SyncReservations.
-  std::uint64_t commit_epoch() const {
-    return commit_epoch_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t commit_epoch() const { return unit_->commit_epoch(); }
 
   // Snapshot of the live log writer's counters (entries, fsyncs, bytes). Meaningful
   // only while no update is in flight; benchmarks read it after joining workers.
@@ -487,67 +272,26 @@ class Database : private GroupCommitHost {
  private:
   Database(Application& app, DatabaseOptions options);
 
-  // One checkpoint in two phases. Phase A (RotateForCheckpointLocked, caller holds
-  // the update lock with the pipeline paused) captures the snapshot, durably creates
-  // log generation `target` with a `pending` marker, and swaps the live writer.
-  // Phase B (PersistCheckpoint, no engine lock required) runs the serialize closure,
-  // writes checkpoint `target`, and commits the version switch.
-  struct CheckpointRotation {
-    std::uint64_t base = 0;    // generation the version files name (unchanged by A)
-    std::uint64_t target = 0;  // new generation; the live log after A
-    // A delta capture writes `target` as delta<target> extending the chain instead
-    // of a self-contained checkpoint; Phase B publishes the extended manifest before
-    // committing the switch.
-    CheckpointCapture capture;
-    Micros start_micros = 0;
-    Micros stall_micros = 0;
-    Micros capture_micros = 0;
-  };
-
   Status Recover();
   Status InitFreshDatabase();
   Status LoadCheckpointAndReplay(const VersionState& state);
-  Status RotateForCheckpointLocked(CheckpointRotation* rotation, bool force_full = false);
-  Status PersistCheckpoint(CheckpointRotation rotation);
-  Status PersistDeltaCheckpoint(CheckpointRotation rotation);
-  // Delta-chain compaction: with the checkpoint slot held, composes the current
-  // base + deltas into a full checkpoint(top) via Application::ComposeCheckpoint,
-  // deletes the manifest (the commit point), and reclaims the old chain files.
-  // Never poisons: a failure at any point leaves the chain authoritative and at
-  // worst some swept-at-next-open garbage.
-  Status CompactChain();
-  ChainState chain_state() const;  // a copy of chain_, taken under chain_mu_
-  // Launches the background compaction thread if compaction is due and none is in
-  // flight. Called after a successful delta persist.
-  void MaybeScheduleCompaction();
   void MaybeAutoCheckpoint();
   bool AutoCheckpointDue() const;
-  // The single-flight checkpoint slot. Acquire blocks until no checkpoint is in
-  // flight and joins the previous background persist thread; Release may run on
-  // that background thread, which is why this is a cv-guarded flag, not a mutex.
-  void AcquireCheckpointSlot();
-  void ReleaseCheckpointSlot();
-  Status CheckPoisoned() const;
 
-  // GroupCommitHost (called by committer_ on a leader thread; see group_commit.h).
-  Result<std::uint64_t> BatchBegin() override;
-  Status BatchApply(ByteSpan record) override;
-  void BatchPoisoned(const Status& cause) override;
-  void BatchCommitted(const UpdateBreakdown& breakdown) override;
+  // ChainLayout: the paper's files. The rotate step durably creates log generation
+  // `target` with a `pending` marker and swaps the live writer; the publish step is
+  // the version switch, with a delta's manifest published before it and rolled back
+  // before the unit deletes the delta file.
+  std::string CheckpointPath(std::uint64_t version) const override;
+  std::string DeltaPath(std::uint64_t version) const override;
+  Status RotateForCheckpoint(CheckpointRotation& rotation) override;
+  PublishOutcome Publish(const CheckpointRotation* rotation, const ChainState& prev,
+                         const ChainState& next, Status& error) override;
 
-  Application& app_;
   DatabaseOptions options_;
   WallClock wall_clock_;
   Clock* clock_;  // options_.clock or &wall_clock_
   VersionStore version_store_;
-  SueLock lock_;
-
-  // Per-database metrics: the single source of truth for all hot-path counters (the
-  // DatabaseStats struct is a snapshot view over it) and the commit-stage histograms.
-  // Declared before everything that holds pointers into it.
-  obs::Registry registry_;
-  std::unique_ptr<obs::TraceRing> trace_ring_;
-  obs::CommitStageMetrics stage_metrics_;
 
   // The following are mutated only while holding the update lock (or in Open), with
   // the pipeline paused where the live log is swapped.
@@ -559,62 +303,13 @@ class Database : private GroupCommitHost {
   // The log generation updates commit to. Equals version_ except between a
   // checkpoint's rotation (Phase A) and its switch commit (Phase B).
   std::atomic<std::uint64_t> live_log_version_{0};
-  // Atomic: set under the update lock (apply divergence, ambiguous checkpoint
-  // switch) while enquiries — which only hold shared mode — read it concurrently.
-  std::atomic<bool> poisoned_{false};
   bool read_only_ = false;
-
-  // The commit pipeline, created with the database (a read-only one never submits).
-  // Declared after log_ so it is destroyed first.
-  std::unique_ptr<GroupCommitter> committer_;
-
-  // Hot-path counters: registry-owned lock-free metrics so overlapping commits never
-  // serialize on the stats mutex. counters_.log_bytes mirrors log_->size() so
-  // log_bytes() is readable without any lock while a batch is streaming to disk.
-  UpdateCounters counters_;
-  obs::Counter* enquiries_ = nullptr;
-  obs::Counter* checkpoints_ = nullptr;
-  obs::Counter* auto_checkpoints_ = nullptr;
-  std::atomic<std::uint64_t> commit_epoch_{0};
   std::atomic<Micros> last_checkpoint_time_{0};
+  RestartBreakdown restart_;  // written only during Open
 
-  // Single-flight checkpoint slot + the background persist thread for automatic
-  // checkpoints. checkpoint_thread_ is assigned/joined only under checkpoint_mu_
-  // while checkpoint_in_flight_ hands off ownership of the slot.
-  mutable std::mutex checkpoint_mu_;
-  std::condition_variable checkpoint_cv_;
-  bool checkpoint_in_flight_ = false;
-  std::thread checkpoint_thread_;
-  obs::Gauge* checkpoint_in_progress_ = nullptr;
-  obs::Counter* checkpoint_failures_ = nullptr;
-
-  // The live delta chain (mirrors the on-disk manifest) with its byte accounting
-  // for the compaction thresholds. chain_mu_ is a leaf lock: held only around
-  // reads/writes of chain_, never while doing I/O.
-  mutable std::mutex chain_mu_;
-  ChainState chain_;
-  // Delta mode resolved at Open: options + application support + no previous-
-  // generation retention. Immutable afterwards.
-  bool delta_effective_ = false;
-
-  // Single-flight background compactor. compaction_in_flight_ is exchanged
-  // BEFORE joining compaction_thread_, so only a finished thread (the flag is
-  // cleared as its last action, after releasing the checkpoint slot) is ever
-  // joined — the joiner can therefore hold the checkpoint slot safely.
-  // compaction_mu_ guards the thread handle itself.
-  std::atomic<bool> compaction_in_flight_{false};
-  std::mutex compaction_mu_;
-  std::thread compaction_thread_;
-  std::atomic<bool> shutting_down_{false};
-
-  obs::Counter* delta_checkpoints_ = nullptr;
-  obs::Counter* compaction_runs_ = nullptr;
-  obs::Counter* compaction_bytes_ = nullptr;
-  obs::Counter* compaction_failures_ = nullptr;
-
-  // Guards only the cold breakdown structs and checkpoint counters.
-  mutable std::mutex stats_mutex_;
-  DatabaseStats stats_;
+  // The application's unit: lock, pipeline, registry, chain and checkpoint slot.
+  std::unique_ptr<EngineUnit> unit_;
+  obs::Counter* auto_checkpoints_ = nullptr;
 };
 
 }  // namespace sdb

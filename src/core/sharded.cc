@@ -107,46 +107,6 @@ Result<std::uint64_t> ShardedDatabase::ShardSink::SyncRecords() {
   return coalescer_->AwaitDurable(ticket_);
 }
 
-// --- ShardUnit ---
-
-Result<std::uint64_t> ShardedDatabase::ShardUnit::BatchBegin() {
-  if (ensemble_poisoned->load(std::memory_order_relaxed)) {
-    return InternalError(
-        "sharded ensemble fail-stopped by an aborted log rotation; reopen to recover");
-  }
-  if (poisoned.load(std::memory_order_relaxed)) {
-    return InternalError("shard poisoned by an earlier apply failure; reopen to recover");
-  }
-  return commit_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-Status ShardedDatabase::ShardUnit::BatchApply(ByteSpan record) {
-  return app->ApplyUpdate(record);
-}
-
-void ShardedDatabase::ShardUnit::BatchPoisoned(const Status& cause) {
-  (void)cause;
-  poisoned.store(true, std::memory_order_relaxed);
-}
-
-void ShardedDatabase::ShardUnit::BatchCommitted(const UpdateBreakdown& breakdown) {
-  (void)breakdown;  // per-stage histograms already aggregated via stage_metrics
-}
-
-void ShardedDatabase::ShardUnit::AcquireCheckpointSlot() {
-  std::unique_lock<std::mutex> gate(ckpt_mu);
-  ckpt_cv.wait(gate, [this] { return !ckpt_in_flight; });
-  ckpt_in_flight = true;
-}
-
-void ShardedDatabase::ShardUnit::ReleaseCheckpointSlot() {
-  {
-    std::lock_guard<std::mutex> gate(ckpt_mu);
-    ckpt_in_flight = false;
-  }
-  ckpt_cv.notify_all();
-}
-
 // --- ShardedDatabase ---
 
 // The atomic-rename-committed record binding the ensemble together: the live log
@@ -165,10 +125,11 @@ ShardedDatabase::ShardedDatabase(std::size_t shards, ShardedOptions options)
       router_(shards, options_.vnodes_per_shard) {}
 
 ShardedDatabase::~ShardedDatabase() {
-  // Pipelines first (batches reference the sinks and coalescer), then the
-  // coalescer, then the log they all wrote to.
-  for (auto& unit : units_) {
-    unit->committer.reset();
+  // Units first (their pipelines' batches reference the sinks and coalescer, and a
+  // handed-off persist publishes through the manifest), then the coalescer, then
+  // the log they all wrote to.
+  for (auto& shard : shards_) {
+    shard->unit.reset();
   }
   coalescer_.reset();
   if (log_ != nullptr) {
@@ -183,14 +144,14 @@ std::string ShardedDatabase::LogPath(std::uint64_t generation) const {
   return JoinPath(options_.dir, "logfile" + std::to_string(generation));
 }
 
-std::string ShardedDatabase::CheckpointPath(std::size_t p, std::uint64_t version) const {
-  return JoinPath(options_.dir,
-                  "p" + std::to_string(p) + ".checkpoint" + std::to_string(version));
+std::string ShardedDatabase::Shard::CheckpointPath(std::uint64_t version) const {
+  return JoinPath(db->options_.dir,
+                  "p" + std::to_string(index) + ".checkpoint" + std::to_string(version));
 }
 
-std::string ShardedDatabase::DeltaPath(std::size_t p, std::uint64_t version) const {
-  return JoinPath(options_.dir,
-                  "p" + std::to_string(p) + ".delta" + std::to_string(version));
+std::string ShardedDatabase::Shard::DeltaPath(std::uint64_t version) const {
+  return JoinPath(db->options_.dir,
+                  "p" + std::to_string(index) + ".delta" + std::to_string(version));
 }
 
 std::string ShardedDatabase::ManifestPath() const {
@@ -212,10 +173,10 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
 Status ShardedDatabase::WriteManifestLocked() {
   Manifest manifest;
   manifest.log_generation = log_generation_;
-  manifest.shards.reserve(units_.size());
-  for (const auto& unit : units_) {
-    manifest.shards.push_back(ShardMeta{unit->chain.top(), unit->replay_from,
-                                        unit->chain.base, unit->chain.deltas});
+  manifest.shards.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    manifest.shards.push_back(ShardMeta{shard->published.top(), shard->replay_from,
+                                        shard->published.base, shard->published.deltas});
   }
   Bytes bytes = PickleWrite(manifest);
   return AtomicWriteFile(*options_.vfs, options_.dir, ManifestPath(), AsSpan(bytes));
@@ -223,7 +184,7 @@ Status ShardedDatabase::WriteManifestLocked() {
 
 Status ShardedDatabase::ForEachShardParallel(
     const std::function<Status(std::size_t)>& fn) {
-  const std::size_t n = units_.size();
+  const std::size_t n = shards_.size();
   if (options_.recovery_threads <= 1 || n <= 1) {
     for (std::size_t p = 0; p < n; ++p) {
       SDB_RETURN_IF_ERROR(fn(p));
@@ -256,37 +217,34 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
   Vfs& vfs = *options_.vfs;
   SDB_RETURN_IF_ERROR(vfs.CreateDir(options_.dir));
 
-  units_.reserve(apps.size());
+  EngineUnitOptions unit_options;
+  unit_options.vfs = options_.vfs;
+  unit_options.dir = options_.dir;
+  unit_options.clock = clock_;
+  unit_options.group_commit = options_.group_commit;
+  unit_options.delta_checkpoint = options_.delta_checkpoint;
+  unit_options.delta_mode = options_.delta_checkpoint.enabled;
+  shards_.reserve(apps.size());
   for (std::size_t p = 0; p < apps.size(); ++p) {
-    auto unit = std::make_unique<ShardUnit>();
-    unit->app = apps[p];
-    unit->ensemble_poisoned = &poisoned_;
-    unit->stage_metrics = obs::CommitStageMetrics::Register(unit->registry, nullptr);
-    unit->counters.updates = &unit->registry.GetCounter("db.updates");
-    unit->counters.precondition_failures =
-        &unit->registry.GetCounter("db.update_precondition_failures");
-    unit->counters.commit_failures = &unit->registry.GetCounter("db.update_commit_failures");
-    unit->counters.log_entries_since_checkpoint =
-        &unit->registry.GetGauge("db.log_entries_since_checkpoint");
-    unit->counters.log_bytes = &unit->registry.GetGauge("db.log_bytes");
-    unit->enquiries = &unit->registry.GetCounter("db.enquiries");
-    unit->checkpoints = &unit->registry.GetCounter("db.checkpoints");
-    unit->delta_checkpoints = &unit->registry.GetCounter("db.delta_checkpoints");
-    unit->compaction_runs = &unit->registry.GetCounter("compaction.runs");
-    unit->compaction_bytes = &unit->registry.GetCounter("compaction.bytes");
-    units_.push_back(std::move(unit));
+    auto shard = std::make_unique<Shard>();
+    shard->db = this;
+    shard->index = p;
+    // The sink reaches the coalescer once the shared log is open, before any update.
+    shard->unit = std::make_unique<EngineUnit>(*apps[p], *shard, &shard->sink, unit_options);
+    shards_.push_back(std::move(shard));
   }
 
   SDB_ASSIGN_OR_RETURN(bool has_manifest, vfs.Exists(ManifestPath()));
   if (!has_manifest) {
     // Fresh ensemble: version-1 checkpoints of the empty states, empty log, then
     // the manifest commit.
-    for (std::size_t p = 0; p < units_.size(); ++p) {
-      SDB_RETURN_IF_ERROR(units_[p]->app->ResetState());
-      SDB_ASSIGN_OR_RETURN(Bytes snapshot, units_[p]->app->SerializeState());
-      SDB_RETURN_IF_ERROR(WriteWholeFile(vfs, CheckpointPath(p, 1), AsSpan(snapshot)));
-      units_[p]->replay_from = 0;
-      units_[p]->chain = ChainState::Full(1, snapshot.size());
+    for (auto& shard : shards_) {
+      Application& app = shard->unit->app();
+      SDB_RETURN_IF_ERROR(app.ResetState());
+      SDB_ASSIGN_OR_RETURN(Bytes snapshot, app.SerializeState());
+      SDB_RETURN_IF_ERROR(WriteWholeFile(vfs, shard->CheckpointPath(1), AsSpan(snapshot)));
+      shard->published = DeltaChain{1, {}};
+      shard->unit->set_chain(ChainState::Full(1, snapshot.size()));
     }
     SDB_RETURN_IF_ERROR(WriteWholeFile(vfs, LogPath(1), ByteSpan{}));
     SDB_RETURN_IF_ERROR(vfs.SyncDir(options_.dir));
@@ -294,18 +252,17 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
   } else {
     SDB_ASSIGN_OR_RETURN(Bytes manifest_bytes, ReadWholeFile(vfs, ManifestPath()));
     SDB_ASSIGN_OR_RETURN(Manifest manifest, PickleRead<Manifest>(AsSpan(manifest_bytes)));
-    if (manifest.shards.size() != units_.size()) {
+    if (manifest.shards.size() != shards_.size()) {
       return InvalidArgumentError("shard count mismatch: directory has " +
                                   std::to_string(manifest.shards.size()) +
-                                  ", caller supplied " + std::to_string(units_.size()));
+                                  ", caller supplied " + std::to_string(shards_.size()));
     }
     log_generation_ = manifest.log_generation;
-    for (std::size_t p = 0; p < units_.size(); ++p) {
+    for (std::size_t p = 0; p < shards_.size(); ++p) {
       const ShardMeta& meta = manifest.shards[p];
-      units_[p]->replay_from = meta.replay_from;
-      if (meta.chain_deltas.empty()) {
-        units_[p]->chain = ChainState::Full(meta.checkpoint_version, 0);
-      } else {
+      shards_[p]->replay_from = meta.replay_from;
+      shards_[p]->published = DeltaChain{meta.checkpoint_version, {}};
+      if (!meta.chain_deltas.empty()) {
         // A chained shard: the manifest must name a well-formed chain whose top
         // IS the shard's checkpoint version — anything else is corruption, not
         // something to guess around.
@@ -321,8 +278,7 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
           return CorruptionError("shard " + std::to_string(p) +
                                  " manifest chain does not end at the checkpoint version");
         }
-        units_[p]->chain.base = meta.chain_base;
-        units_[p]->chain.deltas = meta.chain_deltas;
+        shards_[p]->published = DeltaChain{meta.chain_base, meta.chain_deltas};
       }
     }
 
@@ -331,16 +287,18 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
     // A chained shard composes base + deltas through the application before
     // deserializing.
     Status loaded = ForEachShardParallel([&](std::size_t p) -> Status {
-      ShardUnit& unit = *units_[p];
-      const DeltaChain chain = unit.chain;
+      Shard& shard = *shards_[p];
+      Application& app = shard.unit->app();
+      ChainState chain;
       Result<Bytes> checkpoint = ReadChain(
-          vfs, *unit.app, chain, [&](std::uint64_t v) { return CheckpointPath(p, v); },
-          [&](std::uint64_t v) { return DeltaPath(p, v); }, &unit.chain);
+          vfs, app, shard.published, [&](std::uint64_t v) { return shard.CheckpointPath(v); },
+          [&](std::uint64_t v) { return shard.DeltaPath(v); }, &chain);
       if (!checkpoint.ok()) {
         return checkpoint.status().WithContext("shard " + std::to_string(p));
       }
-      SDB_RETURN_IF_ERROR(unit.app->ResetState());
-      return unit.app->DeserializeState(AsSpan(*checkpoint))
+      shard.unit->set_chain(std::move(chain));
+      SDB_RETURN_IF_ERROR(app.ResetState());
+      return app.DeserializeState(AsSpan(*checkpoint))
           .WithContext("shard " + std::to_string(p));
     });
     SDB_RETURN_IF_ERROR(loaded);
@@ -365,17 +323,17 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
         std::optional<std::uint64_t> pid = ParseDecimal(name.substr(1, dot - 1));
         std::optional<std::uint64_t> version = ParseDecimal(name.substr(dot + 11));
         stale = pid.has_value() && version.has_value() &&
-                (*pid >= units_.size() || *version != units_[*pid]->chain.base);
+                (*pid >= shards_.size() || *version != shards_[*pid]->published.base);
       } else {
         std::size_t delta_dot = name.find(".delta");
         if (delta_dot != std::string::npos) {
           std::optional<std::uint64_t> pid = ParseDecimal(name.substr(1, delta_dot - 1));
           std::optional<std::uint64_t> version = ParseDecimal(name.substr(delta_dot + 6));
           if (pid.has_value() && version.has_value()) {
-            stale = *pid >= units_.size() ||
-                    std::find(units_[*pid]->chain.deltas.begin(),
-                              units_[*pid]->chain.deltas.end(),
-                              *version) == units_[*pid]->chain.deltas.end();
+            stale = *pid >= shards_.size() ||
+                    std::find(shards_[*pid]->published.deltas.begin(),
+                              shards_[*pid]->published.deltas.end(),
+                              *version) == shards_[*pid]->published.deltas.end();
           }
         }
       }
@@ -400,9 +358,9 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
   // replay then skips as "checkpoint-covered" — losing them. Clamp and republish
   // the manifest before any append can land in the reclaimed region.
   bool replay_from_clamped = false;
-  for (auto& unit : units_) {
-    if (unit->replay_from > log_->size()) {
-      unit->replay_from = log_->size();
+  for (auto& shard : shards_) {
+    if (shard->replay_from > log_->size()) {
+      shard->replay_from = log_->size();
       replay_from_clamped = true;
     }
   }
@@ -411,13 +369,9 @@ Status ShardedDatabase::Recover(std::vector<Application*>& apps) {
   }
 
   coalescer_ = std::make_unique<CrossShardCoalescer>(log_.get());
-  for (std::size_t p = 0; p < units_.size(); ++p) {
-    ShardUnit& unit = *units_[p];
-    unit.sink.Init(coalescer_.get(), p);
-    unit.counters.log_bytes->Set(static_cast<std::int64_t>(log_->size()));
-    unit.committer = std::make_unique<GroupCommitter>(
-        unit.lock, *clock_, unit, &unit.sink, &unit.counters, unit.stage_metrics,
-        options_.group_commit);
+  for (auto& shard : shards_) {
+    shard->sink.Init(coalescer_.get(), shard->index);
+    shard->unit->counters().log_bytes->Set(static_cast<std::int64_t>(log_->size()));
   }
   return OkStatus();
 }
@@ -439,8 +393,8 @@ Status ShardedDatabase::ReplayShardedLog() {
   parallel_options.threads = options_.recovery_threads;
   parallel_options.clock = clock_;
   ParallelReplayer replayer(parallel_options);
-  for (auto& unit : units_) {
-    (void)replayer.AddApplication(*unit->app);
+  for (auto& shard : shards_) {
+    (void)replayer.AddApplication(shard->unit->app());
   }
   std::uint64_t skipped = 0;
   SDB_ASSIGN_OR_RETURN(
@@ -450,11 +404,11 @@ Status ShardedDatabase::ReplayShardedLog() {
           [&](std::uint64_t offset, ByteSpan payload) -> Status {
             ByteReader in(payload);
             SDB_ASSIGN_OR_RETURN(std::uint64_t pid, in.ReadVarint());
-            if (pid >= units_.size()) {
+            if (pid >= shards_.size()) {
               return CorruptionError("log entry for unknown shard " + std::to_string(pid));
             }
             SDB_ASSIGN_OR_RETURN(ByteSpan record, in.ReadBytes(in.remaining()));
-            if (offset < units_[pid]->replay_from) {
+            if (offset < shards_[pid]->replay_from) {
               ++skipped;  // the shard's checkpoint already covers this entry
               return OkStatus();
             }
@@ -479,22 +433,13 @@ Status ShardedDatabase::ReplayShardedLog() {
   return OkStatus();
 }
 
-Status ShardedDatabase::CheckPoisoned() const {
-  if (poisoned_.load(std::memory_order_relaxed)) {
-    return InternalError(
-        "sharded ensemble fail-stopped by an aborted log rotation; reopen to recover");
-  }
-  return OkStatus();
-}
-
 Status ShardedDatabase::Update(std::size_t p,
                                const std::function<Result<Bytes>()>& prepare) {
-  if (p >= units_.size()) {
+  if (p >= shards_.size()) {
     return InvalidArgumentError("shard index out of range");
   }
-  SDB_RETURN_IF_ERROR(CheckPoisoned());
   GroupCommitter::PrepareFn fn = prepare;
-  return units_[p]->committer->Submit({&fn, 1});
+  return shards_[p]->unit->committer().Submit({&fn, 1});
 }
 
 Status ShardedDatabase::UpdateKey(std::string_view key,
@@ -503,18 +448,10 @@ Status ShardedDatabase::UpdateKey(std::string_view key,
 }
 
 Status ShardedDatabase::Enquire(std::size_t p, const std::function<Status()>& enquiry) {
-  if (p >= units_.size()) {
+  if (p >= shards_.size()) {
     return InvalidArgumentError("shard index out of range");
   }
-  ShardUnit& unit = *units_[p];
-  SueLock::SharedGuard guard(unit.lock);
-  SDB_RETURN_IF_ERROR(CheckPoisoned());
-  if (unit.poisoned.load(std::memory_order_relaxed)) {
-    return InternalError("shard poisoned by an earlier apply failure; reopen to recover");
-  }
-  Status status = enquiry();
-  unit.enquiries->Increment();
-  return status;
+  return shards_[p]->unit->Enquire(enquiry);
 }
 
 Status ShardedDatabase::EnquireKey(std::string_view key,
@@ -523,272 +460,100 @@ Status ShardedDatabase::EnquireKey(std::string_view key,
 }
 
 Status ShardedDatabase::EnquireAll(const std::function<Status()>& enquiry) {
-  for (auto& unit : units_) {
-    unit->lock.AcquireShared();
+  for (auto& shard : shards_) {
+    shard->unit->lock().AcquireShared();
   }
-  Status status = CheckPoisoned();
-  for (auto& unit : units_) {
-    if (status.ok() && unit->poisoned.load(std::memory_order_relaxed)) {
-      status = InternalError("shard poisoned by an earlier apply failure; reopen to recover");
+  Status status = OkStatus();
+  for (auto& shard : shards_) {
+    if (status.ok()) {
+      status = shard->unit->CheckPoisoned();
     }
   }
   if (status.ok()) {
     status = enquiry();
   }
-  for (auto it = units_.rbegin(); it != units_.rend(); ++it) {
-    (*it)->enquiries->Increment();
-    (*it)->lock.ReleaseShared();
+  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
+    (*it)->unit->registry().GetCounter("db.enquiries").Increment();
+    (*it)->unit->lock().ReleaseShared();
   }
   return status;
 }
 
-Status ShardedDatabase::CheckpointPhaseA(std::size_t p, ShardRotation* rotation) {
-  ShardUnit& unit = *units_[p];
-  // Pause BEFORE the update lock: an in-flight batch needs the lock to finish, so
-  // pausing after acquiring it would deadlock. With the pipeline paused, every
-  // committed record of shard p is already applied (or belongs to a failed,
-  // unacknowledged batch — which replay is allowed to skip), so the log size read
-  // below is a safe replay-from offset for the snapshot.
-  PipelinePause pause(*unit.committer);
-  SueLock::UpdateGuard guard(unit.lock);
-  SDB_RETURN_IF_ERROR(CheckPoisoned());
-  if (unit.poisoned.load(std::memory_order_relaxed)) {
-    return InternalError("shard poisoned by an earlier apply failure; reopen to recover");
-  }
-  std::uint64_t chain_length;
-  {
-    std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    chain_length = unit.chain.length();
-  }
-  SDB_ASSIGN_OR_RETURN(rotation->capture,
-                       CaptureCheckpoint(*unit.app, options_.delta_checkpoint.enabled,
-                                         chain_length, options_.delta_checkpoint));
-  {
-    // (generation, offset) must be one instant: a rotation swaps both together
-    // under manifest_mu_.
-    std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    rotation->generation = log_generation_;
-    rotation->replay_from = log_->size();
-  }
-  unit.commit_epoch.fetch_add(1, std::memory_order_relaxed);
+Status ShardedDatabase::Shard::RotateForCheckpoint(CheckpointRotation& rotation) {
+  // The unit paused this shard's pipeline before its update lock, so every committed
+  // record of the shard is already applied (or belongs to a failed, unacknowledged
+  // batch — which replay is allowed to skip), and the log size read below is a safe
+  // replay-from offset for the snapshot. (generation, offset) must be one instant: a
+  // rotation swaps both together under manifest_mu_.
+  std::lock_guard<std::mutex> manifest_lock(db->manifest_mu_);
+  rotation.target = published.top() + 1;
+  rotation.log_generation = db->log_generation_;
+  rotation.log_offset = db->log_->size();
   return OkStatus();
 }
 
-Status ShardedDatabase::CheckpointPhaseB(std::size_t p, ShardRotation rotation) {
-  ShardUnit& unit = *units_[p];
-  if (rotation.capture.is_delta()) {
-    SDB_RETURN_IF_ERROR(PersistShardDelta(p, std::move(rotation)));
-  } else {
-    SDB_ASSIGN_OR_RETURN(Bytes snapshot, rotation.capture.full());
-
-    std::uint64_t new_version;
-    {
-      std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-      new_version = unit.chain.top() + 1;
-    }
-    SDB_RETURN_IF_ERROR(
-        WriteWholeFile(*options_.vfs, CheckpointPath(p, new_version), AsSpan(snapshot)));
-    SDB_RETURN_IF_ERROR(options_.vfs->SyncDir(options_.dir));
-
-    DeltaChain old_chain;
-    {
-      std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-      old_chain = unit.chain;
-      unit.chain = ChainState::Full(new_version, snapshot.size());
-      if (log_generation_ == rotation.generation) {
-        unit.replay_from = std::max(unit.replay_from, rotation.replay_from);
-      }
-      // A failed manifest write leaves the rename ambiguous, but either outcome
-      // is consistent: the old chain is only deleted below, after a confirmed
-      // commit, so whichever state the manifest names still exists on disk.
-      SDB_RETURN_IF_ERROR(WriteManifestLocked());
-    }
-    // A full checkpoint supersedes the shard's whole previous chain.
-    SDB_RETURN_IF_ERROR(options_.vfs->Delete(CheckpointPath(p, old_chain.base))
-                            .WithContext("removing superseded checkpoint"));
-    for (std::uint64_t v : old_chain.deltas) {
-      SDB_RETURN_IF_ERROR(options_.vfs->Delete(DeltaPath(p, v))
-                              .WithContext("removing superseded chain delta"));
-    }
-    unit.checkpoints->Increment();
-  }
-  unit.counters.log_entries_since_checkpoint->Set(0);
-
-  if (options_.rotate_log_bytes != 0 && log_bytes() >= options_.rotate_log_bytes) {
-    SDB_RETURN_IF_ERROR(MaybeRotateLog().status());
-  }
-  return OkStatus();
-}
-
-Status ShardedDatabase::PersistShardDelta(std::size_t p, ShardRotation rotation) {
-  ShardUnit& unit = *units_[p];
-  Result<Application::DeltaSnapshot> delta = rotation.capture.delta();
-  if (!delta.ok()) {
-    unit.app->AbandonDeltaCapture();
-    return delta.status();
-  }
-
-  std::uint64_t new_version;
-  {
-    std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    new_version = unit.chain.top() + 1;
-  }
-  Status written =
-      WriteWholeFile(*options_.vfs, DeltaPath(p, new_version), AsSpan(delta->bytes));
-  if (written.ok()) {
-    written = options_.vfs->SyncDir(options_.dir);
-  }
-  if (!written.ok()) {
-    // Unambiguous failure: nothing references the (possibly partial) delta file
-    // yet, so reclaim it and put the dirty window back for the next capture.
-    (void)options_.vfs->Delete(DeltaPath(p, new_version));
-    unit.app->AbandonDeltaCapture();
-    return written;
-  }
-
-  Status committed;
-  {
-    std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    unit.chain.deltas.push_back(new_version);
-    unit.chain.delta_bytes += delta->bytes.size();
-    if (log_generation_ == rotation.generation) {
-      unit.replay_from = std::max(unit.replay_from, rotation.replay_from);
-    }
-    // Same ambiguity stance as the full path: the delta file is durable and the
-    // in-memory chain now includes it, so EITHER manifest outcome is consistent
-    // — if the rename landed recovery composes the delta; if it did not, the
-    // entries it covers are still above the manifest's replay_from and replay
-    // re-derives them from the log (the delta file is swept as an orphan).
-    committed = WriteManifestLocked();
-  }
-  // The in-memory chain includes the delta on every path past the file write, so
-  // the capture is committed even when the manifest rename is ambiguous — the
-  // next capture's window must NOT re-cover keys this delta already holds.
-  unit.app->CommitDeltaCapture();
-  SDB_RETURN_IF_ERROR(committed);
-
-  unit.checkpoints->Increment();
-  unit.delta_checkpoints->Increment();
-
-  bool compaction_due;
-  {
-    std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    compaction_due = unit.chain.CompactionDue(options_.delta_checkpoint);
-  }
-  if (compaction_due) {
-    // Inline, while this shard's checkpoint slot is still held (our caller
-    // releases it). Compaction failure never fails the checkpoint: the chain is
-    // intact and simply compacts later.
-    Status compacted = CompactShardChain(p);
-    if (!compacted.ok()) {
-      SDB_LOG(kWarning) << "shard " << p << " chain compaction failed (will retry): "
-                        << compacted;
+PublishOutcome ShardedDatabase::Shard::Publish(const CheckpointRotation* rotation,
+                                               const ChainState& prev,
+                                               const ChainState& next, Status& error) {
+  (void)prev;
+  if (rotation != nullptr) {
+    // The new file's name must be durable before the manifest names it (a
+    // compaction synced its own).
+    error = db->options_.vfs->SyncDir(db->options_.dir);
+    if (!error.ok()) {
+      return PublishOutcome::kAborted;
     }
   }
-  return OkStatus();
-}
-
-Status ShardedDatabase::CompactShardChain(std::size_t p) {
-  ShardUnit& unit = *units_[p];
-  DeltaChain chain;
-  {
-    std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    chain = unit.chain;
+  std::lock_guard<std::mutex> manifest_lock(db->manifest_mu_);
+  published = next;
+  if (rotation != nullptr && rotation->log_generation == db->log_generation_) {
+    replay_from = std::max(replay_from, rotation->log_offset);
   }
-  if (!chain.has_deltas()) {
-    return OkStatus();
-  }
-
-  // Compose from the on-disk chain (not live state): ComposeCheckpoint is pure,
-  // so no shard lock is needed and updates proceed throughout.
-  SDB_ASSIGN_OR_RETURN(
-      Bytes composed,
-      ReadChain(*options_.vfs, *unit.app, chain,
-                [&](std::uint64_t v) { return CheckpointPath(p, v); },
-                [&](std::uint64_t v) { return DeltaPath(p, v); }));
-
-  std::uint64_t top = chain.top();
-  Status written =
-      WriteWholeFile(*options_.vfs, CheckpointPath(p, top), AsSpan(composed));
-  if (written.ok()) {
-    written = options_.vfs->SyncDir(options_.dir);
-  }
-  if (!written.ok()) {
-    (void)options_.vfs->Delete(CheckpointPath(p, top));
-    return written;
-  }
-
-  {
-    std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-    // The chain cannot have changed (the shard's checkpoint slot is held), so
-    // collapse it and publish. A failed rename is ambiguous but consistent
-    // either way — checkpoint(top) and the full old chain both exist on disk —
-    // so keep the collapsed view and just skip reclaiming the old files (the
-    // reopen sweep finishes the job).
-    unit.chain = ChainState::Full(top, composed.size());
-    SDB_RETURN_IF_ERROR(WriteManifestLocked());
-  }
-
-  Status reclaimed = options_.vfs->Delete(CheckpointPath(p, chain.base));
-  for (std::uint64_t v : chain.deltas) {
-    Status deleted = options_.vfs->Delete(DeltaPath(p, v));
-    if (reclaimed.ok()) {
-      reclaimed = deleted;
-    }
-  }
-  if (!reclaimed.ok()) {
-    SDB_LOG(kWarning) << "reclaiming compacted chain files for shard " << p << ": "
-                      << reclaimed;
-  }
-  unit.compaction_runs->Increment();
-  unit.compaction_bytes->Add(composed.size());
-  return OkStatus();
+  // A failed rename is ambiguous, but either outcome is consistent: the files of
+  // the old chain are reclaimed only after a confirmed commit, so whichever chain
+  // the manifest names still exists on disk. If the rename did not land, the
+  // entries a new delta covers are still above the manifest's replay_from and
+  // replay re-derives them from the log (the delta file is swept as an orphan).
+  error = db->WriteManifestLocked();
+  return error.ok() ? PublishOutcome::kCommitted : PublishOutcome::kAmbiguous;
 }
 
 Status ShardedDatabase::Checkpoint(std::size_t p) {
-  if (p >= units_.size()) {
+  if (p >= shards_.size()) {
     return InvalidArgumentError("shard index out of range");
   }
-  ShardUnit& unit = *units_[p];
-  unit.AcquireCheckpointSlot();
-  ShardRotation rotation;
-  Status status = CheckpointPhaseA(p, &rotation);
-  if (status.ok()) {
-    status = CheckpointPhaseB(p, std::move(rotation));
-  }
-  unit.ReleaseCheckpointSlot();
-  return status;
+  SDB_RETURN_IF_ERROR(shards_[p]->unit->Checkpoint({}));
+  return MaybeRotateFullLog();
 }
 
 Status ShardedDatabase::CheckpointAll() {
   std::lock_guard<std::mutex> all(checkpoint_all_mu_);
-  std::vector<Status> results(units_.size(), OkStatus());
-  std::thread persist;
-  for (std::size_t p = 0; p < units_.size(); ++p) {
-    units_[p]->AcquireCheckpointSlot();
-    ShardRotation rotation;
-    Status phase_a = CheckpointPhaseA(p, &rotation);
-    // Shard p's stall (Phase A) overlapped shard p-1's background persist; join it
-    // before spawning p's so at most one persist thread is alive.
-    if (persist.joinable()) {
-      persist.join();
-    }
+  std::vector<Status> results(shards_.size(), OkStatus());
+  for (std::size_t p = 0; p < shards_.size(); ++p) {
+    // Shard p's stall (Phase A) overlaps shard p-1's persist; p's persist starts
+    // once p-1's is done, so at most two shards' snapshots are in memory at once.
+    EngineUnit::CheckpointRun run;
+    run.hand_off = true;
+    run.result = &results[p];
+    run.after = p > 0 ? shards_[p - 1]->unit.get() : nullptr;
+    Status phase_a = shards_[p]->unit->Checkpoint(run);
     if (!phase_a.ok()) {
-      units_[p]->ReleaseCheckpointSlot();
       results[p] = phase_a;
-      continue;
     }
-    persist = std::thread([this, p, &results, rot = std::move(rotation)]() mutable {
-      results[p] = CheckpointPhaseB(p, std::move(rot));
-      units_[p]->ReleaseCheckpointSlot();
-    });
   }
-  if (persist.joinable()) {
-    persist.join();
+  for (auto& shard : shards_) {
+    shard->unit->AwaitCheckpoint();
   }
-  for (std::size_t p = 0; p < units_.size(); ++p) {
+  for (std::size_t p = 0; p < shards_.size(); ++p) {
     SDB_RETURN_IF_ERROR(
         results[p].WithContext("checkpointing shard " + std::to_string(p)));
+  }
+  return MaybeRotateFullLog();
+}
+
+Status ShardedDatabase::MaybeRotateFullLog() {
+  if (options_.rotate_log_bytes != 0 && log_bytes() >= options_.rotate_log_bytes) {
+    return MaybeRotateLog().status();
   }
   return OkStatus();
 }
@@ -796,15 +561,17 @@ Status ShardedDatabase::CheckpointAll() {
 Result<bool> ShardedDatabase::MaybeRotateLog() {
   // Lock order: manifest_mu_ THEN Freeze (AwaitDurable never takes manifest_mu_).
   std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
-  SDB_RETURN_IF_ERROR(CheckPoisoned());
+  for (const auto& shard : shards_) {
+    SDB_RETURN_IF_ERROR(shard->unit->CheckPoisoned());
+  }
   coalescer_->Freeze();
   // Under the freeze no appends can land, so the size is stable; if every shard
   // has checkpointed past it, no batch is awaiting durability either (a shard's
   // Phase A pauses its pipeline, so replay_from never covers an in-flight batch) —
   // the freeze blocks nobody mid-commit and the swap is safe.
   std::uint64_t log_size = log_->size();
-  for (const auto& unit : units_) {
-    if (unit->replay_from < log_size) {
+  for (const auto& shard : shards_) {
+    if (shard->replay_from < log_size) {
       coalescer_->Unfreeze();
       return false;  // someone still needs the log's tail: the flushing rule says no
     }
@@ -822,17 +589,24 @@ Result<bool> ShardedDatabase::MaybeRotateLog() {
 
   std::uint64_t old_generation = log_generation_;
   log_generation_ = new_generation;
-  for (auto& unit : units_) {
-    unit->replay_from = 0;  // the fresh log starts empty; everyone is current
+  for (auto& shard : shards_) {
+    shard->replay_from = 0;  // the fresh log starts empty; everyone is current
   }
+  // A failed rotation can leave the manifest naming a log the writer is not on: the
+  // ensemble fail-stops rather than risk committing updates recovery replays from
+  // the wrong file.
+  auto fail_stop = [this] {
+    for (auto& shard : shards_) {
+      shard->unit->Poison("the sharded ensemble fail-stopped on an aborted log rotation");
+    }
+    coalescer_->Poison();
+    coalescer_->Unfreeze();
+  };
   Status committed = WriteManifestLocked();  // commit point of the rotation
   if (!committed.ok()) {
     // The rename is ambiguous: the manifest may name the new generation while the
-    // writer is still on the old one. Fail-stop rather than acknowledge updates
-    // recovery might replay from the wrong file.
-    poisoned_.store(true, std::memory_order_relaxed);
-    coalescer_->Poison();
-    coalescer_->Unfreeze();
+    // writer is still on the old one.
+    fail_stop();
     return committed.WithContext(
         "log rotation commit ambiguous; ensemble fail-stops until reopened");
   }
@@ -846,9 +620,7 @@ Result<bool> ShardedDatabase::MaybeRotateLog() {
   if (!new_log.ok()) {
     // Manifest already names the (empty, durable) new generation but nothing can
     // append to it. Everything acknowledged is safe in the checkpoints; fail-stop.
-    poisoned_.store(true, std::memory_order_relaxed);
-    coalescer_->Poison();
-    coalescer_->Unfreeze();
+    fail_stop();
     return new_log.status().WithContext(
         "opening rotated shared log; ensemble fail-stops until reopened");
   }
@@ -878,8 +650,8 @@ std::uint64_t ShardedDatabase::log_generation() const {
 std::uint64_t ShardedDatabase::reclaimable_log_bytes() const {
   std::lock_guard<std::mutex> manifest_lock(manifest_mu_);
   std::uint64_t min_offset = log_->size();
-  for (const auto& unit : units_) {
-    min_offset = std::min(min_offset, unit->replay_from);
+  for (const auto& shard : shards_) {
+    min_offset = std::min(min_offset, shard->replay_from);
   }
   return min_offset;
 }
@@ -890,12 +662,13 @@ ShardedStats ShardedDatabase::stats() const {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     snapshot = stats_;
   }
-  for (const auto& unit : units_) {
-    snapshot.updates += unit->counters.updates->value();
-    snapshot.enquiries += unit->enquiries->value();
-    snapshot.checkpoints += unit->checkpoints->value();
-    snapshot.delta_checkpoints += unit->delta_checkpoints->value();
-    snapshot.compactions += unit->compaction_runs->value();
+  for (const auto& shard : shards_) {
+    const obs::Registry& registry = shard->unit->registry();
+    snapshot.updates += registry.FindCounter("db.updates")->value();
+    snapshot.enquiries += registry.FindCounter("db.enquiries")->value();
+    snapshot.checkpoints += registry.FindCounter("db.checkpoints")->value();
+    snapshot.delta_checkpoints += registry.FindCounter("db.delta_checkpoints")->value();
+    snapshot.compactions += registry.FindCounter("compaction.runs")->value();
   }
   CrossShardCoalescer::Stats coalescer = coalescer_->stats();
   snapshot.covering_fsyncs = coalescer.covering_fsyncs;
@@ -905,7 +678,7 @@ ShardedStats ShardedDatabase::stats() const {
 }
 
 GroupCommitStats ShardedDatabase::shard_commit_stats(std::size_t p) const {
-  return units_[p]->committer->stats();
+  return shards_[p]->unit->committer().stats();
 }
 
 CrossShardCoalescer::Stats ShardedDatabase::coalescer_stats() const {
@@ -913,21 +686,20 @@ CrossShardCoalescer::Stats ShardedDatabase::coalescer_stats() const {
 }
 
 obs::Registry& ShardedDatabase::shard_metrics(std::size_t p) {
-  return units_[p]->registry;
+  return shards_[p]->unit->registry();
 }
 
 void ShardedDatabase::RollUpMetrics() {
   ShardedStats aggregate = stats();
-  for (std::size_t p = 0; p < units_.size(); ++p) {
-    const ShardUnit& unit = *units_[p];
+  for (std::size_t p = 0; p < shards_.size(); ++p) {
+    EngineUnit& unit = *shards_[p]->unit;
     std::string prefix = "shard." + std::to_string(p) + ".";
-    registry_.GetGauge(prefix + "updates")
-        .Set(static_cast<std::int64_t>(unit.counters.updates->value()));
-    registry_.GetGauge(prefix + "enquiries")
-        .Set(static_cast<std::int64_t>(unit.enquiries->value()));
-    registry_.GetGauge(prefix + "checkpoints")
-        .Set(static_cast<std::int64_t>(unit.checkpoints->value()));
-    GroupCommitStats commit = unit.committer->stats();
+    for (const char* name : {"updates", "enquiries", "checkpoints"}) {
+      registry_.GetGauge(prefix + name)
+          .Set(static_cast<std::int64_t>(
+              unit.registry().FindCounter(std::string("db.") + name)->value()));
+    }
+    GroupCommitStats commit = unit.committer().stats();
     registry_.GetGauge(prefix + "batches").Set(static_cast<std::int64_t>(commit.batches));
     registry_.GetGauge(prefix + "fsyncs").Set(static_cast<std::int64_t>(commit.syncs));
   }

@@ -9,11 +9,11 @@
 // logs). This engine is the second — one log, with the flushing rule below — at full
 // concurrency:
 //
-//   - N shards, each a complete per-shard unit: application state, SueLock,
-//     group-commit pipeline (PR 1's GroupCommitter, unchanged), metrics registry,
-//     commit epoch, poison flag. A key router (consistent hashing; shard count fixed
-//     at open) assigns every key a home shard, so shard-local operations never touch
-//     another shard's lock.
+//   - N shards, each an EngineUnit (engine_unit.h) — application state, SueLock,
+//     group-commit pipeline, metrics registry, commit epoch, poison flag, checkpoint
+//     chain and slot — the same unit a Database is built on. A key router
+//     (consistent hashing; shard count fixed at open) assigns every key a home
+//     shard, so shard-local operations never touch another shard's lock.
 //   - ONE shared physical log. Each shard's batches are framed with a varint shard
 //     id and appended through the CrossShardCoalescer (group_commit.h): batch
 //     leaders from many shards append concurrently, and a single elected flush
@@ -27,8 +27,9 @@
 //   - A `manifest` file, replaced by atomic rename, binds the ensemble together: the
 //     live log generation and, per shard, its checkpoint chain and replay-from
 //     offset. Its rename is every checkpoint's, compaction's and rotation's commit
-//     point. A shard's delta chain follows the same rules as Database's (ChainState,
-//     ReadChain and CaptureCheckpoint in database.h); only this publish step differs.
+//     point. A shard's checkpoints, delta chain and compaction run in its unit
+//     exactly as Database's do; only the rotate step (reading the (generation,
+//     offset) instant) and this publish step are the ensemble's own.
 //   - Restart opens shards in parallel on a small thread pool: per-shard checkpoint
 //     loads, then one pass over the shared log bucketing entries per shard, then
 //     per-shard replay — shards are independent recovery units.
@@ -41,8 +42,6 @@
 #ifndef SMALLDB_SRC_CORE_SHARDED_H_
 #define SMALLDB_SRC_CORE_SHARDED_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -50,13 +49,8 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/database.h"
-#include "src/core/group_commit.h"
+#include "src/core/engine_unit.h"
 #include "src/core/log_writer.h"
-#include "src/core/sue_lock.h"
-#include "src/core/version_store.h"
-#include "src/obs/metrics.h"
-#include "src/storage/vfs.h"
 
 namespace sdb {
 
@@ -113,10 +107,8 @@ struct ShardedOptions {
   // Incremental (delta) checkpoints, per shard: when the shard app supports
   // CaptureDeltaSnapshot, Checkpoint(p) writes p<p>.delta<v> composing over the
   // shard's base checkpoint, and the chain is recorded in the ensemble manifest.
-  // Unlike the single-engine database there is no background compactor:
-  // compaction runs inline at the end of the shard's Phase B when a threshold
-  // crosses (the persist already runs off the stall path, so inline compaction
-  // costs no extra stall) — background_compaction is ignored.
+  // As in Database, the checkpoint that crosses a threshold compacts the chain
+  // before it returns.
   DeltaCheckpointOptions delta_checkpoint;
 };
 
@@ -158,7 +150,7 @@ class ShardedDatabase {
   ShardedDatabase(const ShardedDatabase&) = delete;
   ShardedDatabase& operator=(const ShardedDatabase&) = delete;
 
-  std::size_t shard_count() const { return units_.size(); }
+  std::size_t shard_count() const { return shards_.size(); }
   const ShardRouter& router() const { return router_; }
   std::size_t ShardForKey(std::string_view key) const { return router_.Route(key); }
 
@@ -178,14 +170,15 @@ class ShardedDatabase {
   // Checkpoints shard p only. Phase A (the stall): p's pipeline paused + update
   // lock held just long enough to capture a consistent snapshot and record the
   // shared-log offset p is current to. Phase B (no engine lock): serialize, write
-  // the checkpoint file, commit via the manifest rename. Other shards' updates
-  // proceed throughout. Afterwards applies the rotation rule if rotate_log_bytes
-  // is configured.
+  // the checkpoint file, commit via the manifest rename, and compact the chain when
+  // the new delta crossed a threshold. Other shards' updates proceed throughout.
+  // Afterwards applies the rotation rule if rotate_log_bytes is configured.
   Status Checkpoint(std::size_t p);
 
   // Checkpoints every shard with the stalls staggered: shard p+1's Phase A runs
-  // while shard p's Phase B persists in the background, so at most one shard is
-  // snapshotting (stalled) at any instant but the disk work still overlaps.
+  // while shard p's Phase B persists on p's background thread, so at most one shard
+  // is snapshotting (stalled) at any instant but the disk work still overlaps. The
+  // persists reach the disk one at a time, in shard order.
   Status CheckpointAll();
 
   // Rotates the shared log iff every shard has checkpointed past its end (the
@@ -236,73 +229,34 @@ class ShardedDatabase {
     std::vector<ByteSpan> spans_;
   };
 
-  // One shard: state + lock + pipeline + metrics. Also the pipeline's host (the
-  // committer calls back into the shard, not the ensemble — batch apply and
-  // poisoning are shard-local).
-  struct ShardUnit final : GroupCommitHost {
-    Application* app = nullptr;
-    SueLock lock;
-
-    obs::Registry registry;
-    obs::CommitStageMetrics stage_metrics;
-    UpdateCounters counters;
-    obs::Counter* enquiries = nullptr;
-    obs::Counter* checkpoints = nullptr;
-    obs::Counter* delta_checkpoints = nullptr;
-    obs::Counter* compaction_runs = nullptr;
-    obs::Counter* compaction_bytes = nullptr;
-
+  // The ensemble's part of one shard: its slice of the shared log and the two
+  // checkpoint steps its EngineUnit asks of it. Everything else is the unit.
+  struct Shard final : ChainLayout {
+    ShardedDatabase* db = nullptr;
+    std::size_t index = 0;
     ShardSink sink;
-    std::unique_ptr<GroupCommitter> committer;
-
-    std::atomic<std::uint64_t> commit_epoch{0};
-    std::atomic<bool> poisoned{false};
-    // Set once at Open: the ensemble's fail-stop flag, checked in BatchBegin so a
-    // batch queued before an aborted rotation is refused rather than committed to
-    // a log the manifest may no longer name.
-    const std::atomic<bool>* ensemble_poisoned = nullptr;
-
-    // Single-flight checkpoint per shard. A cv-guarded flag, not a mutex, because
-    // CheckpointAll releases the slot from the background persist thread.
-    std::mutex ckpt_mu;
-    std::condition_variable ckpt_cv;
-    bool ckpt_in_flight = false;
-    void AcquireCheckpointSlot();
-    void ReleaseCheckpointSlot();
-
-    // Guarded by the ensemble's manifest_mu_ (except during single-threaded Open).
+    // Guarded by the ensemble's manifest_mu_ (except during single-threaded Open):
+    // what the manifest records for this shard. `published` leads the unit's chain
+    // only while a publish is returning to the unit.
     std::uint64_t replay_from = 0;  // shared-log offset this shard is current to
-    // The shard's checkpoint chain: p<p>.checkpoint<chain.base> plus
-    // p<p>.delta<v> for each v in chain.deltas. chain.top() is the shard's
-    // checkpoint version.
-    ChainState chain;
+    DeltaChain published;           // p<p>.checkpoint<base> + p<p>.delta<v>...
+    std::unique_ptr<EngineUnit> unit;
 
-    Result<std::uint64_t> BatchBegin() override;
-    Status BatchApply(ByteSpan record) override;
-    void BatchPoisoned(const Status& cause) override;
-    void BatchCommitted(const UpdateBreakdown& breakdown) override;
+    std::string CheckpointPath(std::uint64_t version) const override;
+    std::string DeltaPath(std::uint64_t version) const override;
+    // Records the (generation, offset) instant the snapshot is current to.
+    Status RotateForCheckpoint(CheckpointRotation& rotation) override;
+    // The manifest rename, raising replay_from to the snapshot's offset unless a
+    // log rotation reset it in between.
+    PublishOutcome Publish(const CheckpointRotation* rotation, const ChainState& prev,
+                           const ChainState& next, Status& error) override;
   };
 
   struct Manifest;  // defined in the .cc: the pickled on-disk record
 
-  // Checkpoint Phase A output: what Phase B needs to persist and publish.
-  struct ShardRotation {
-    // A delta capture makes Phase B write p<p>.delta<v> instead of a full
-    // checkpoint. Every Phase B failure path before the manifest mutation must
-    // AbandonDeltaCapture.
-    CheckpointCapture capture;
-    // The (generation, offset) instant the snapshot is current to. Phase B only
-    // raises replay_from if the generation is unchanged — a rotation in between
-    // already reset the offset for the fresh log.
-    std::uint64_t generation = 0;
-    std::uint64_t replay_from = 0;
-  };
-
   ShardedDatabase(std::size_t shards, ShardedOptions options);
 
   std::string LogPath(std::uint64_t generation) const;
-  std::string CheckpointPath(std::size_t p, std::uint64_t version) const;
-  std::string DeltaPath(std::size_t p, std::uint64_t version) const;
   std::string ManifestPath() const;
 
   Status Recover(std::vector<Application*>& apps);
@@ -311,42 +265,31 @@ class ShardedDatabase {
   // (sequential when 1); returns the first failure by shard index.
   Status ForEachShardParallel(const std::function<Status(std::size_t)>& fn);
   Status WriteManifestLocked();  // caller holds manifest_mu_
-  Status CheckpointPhaseA(std::size_t p, ShardRotation* rotation);
-  Status CheckpointPhaseB(std::size_t p, ShardRotation rotation);
-  Status PersistShardDelta(std::size_t p, ShardRotation rotation);
-  // Collapses shard p's chain into a full base at chain.top(). Called with p's
-  // checkpoint slot held; failures leave the chain intact (retried next time).
-  Status CompactShardChain(std::size_t p);
-  Status CheckPoisoned() const;
+  // The rotation rule, applied after a checkpoint when rotate_log_bytes is set.
+  Status MaybeRotateFullLog();
 
   ShardedOptions options_;
   WallClock wall_clock_;
   Clock* clock_;
   ShardRouter router_;
 
-  // Ensemble registry (roll-up target). Declared before the units so per-shard
-  // metric pointers never dangle relative to it.
+  // Ensemble registry (roll-up target).
   obs::Registry registry_;
 
-  std::vector<std::unique_ptr<ShardUnit>> units_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 
   std::unique_ptr<LogWriter> log_;
   std::unique_ptr<CrossShardCoalescer> coalescer_;
 
-  // Guards the manifest (generation, per-shard checkpoint_version/replay_from) and
-  // its on-disk commit. Lock order: manifest_mu_ THEN coalescer Freeze — never the
+  // Guards the manifest (generation, each shard's replay_from and published chain)
+  // and its on-disk commit. Lock order: manifest_mu_ THEN coalescer Freeze — never the
   // reverse (AwaitDurable holds the coalescer mutex and never takes manifest_mu_).
   mutable std::mutex manifest_mu_;
   std::uint64_t log_generation_ = 1;
 
   // Serializes CheckpointAll runs (individual Checkpoint(p) calls only contend on
-  // their shard's checkpoint_mu).
+  // their shard's checkpoint slot).
   std::mutex checkpoint_all_mu_;
-
-  // A failed rotation can leave the manifest naming a log the writer is not on;
-  // the ensemble fail-stops rather than risk committing updates recovery replays
-  // from the wrong file.
-  std::atomic<bool> poisoned_{false};
 
   mutable std::mutex stats_mutex_;
   ShardedStats stats_;

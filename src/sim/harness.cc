@@ -256,9 +256,6 @@ class Runner {
     o.log_writer.page_size = options_.disk_page_size;
     o.log_replay_page_size = options_.disk_page_size;
     o.recovery_threads = options_.recovery_threads;
-    // Determinism: compaction must run inline at the checkpoint that crossed the
-    // threshold, never on a background thread racing the workload's disk ops.
-    o.delta_checkpoint.background_compaction = false;
     o.delta_checkpoint.compact_after_deltas = options_.compact_after_deltas;
     o.delta_checkpoint.compact_delta_base_ratio = options_.compact_delta_base_ratio;
     return o;

@@ -96,12 +96,12 @@ struct HarnessOptions {
   // this and stays sequential (parallel checkpoint loads would permute SimDisk op
   // ordinals).
   int recovery_threads = 1;
-  // Delta-checkpoint thresholds forwarded to the engine (Database mode only). The
-  // runner always forces background_compaction = false: every harness checkpoint
-  // is a synchronous Checkpoint() call on the harness thread, so compaction runs
-  // inline at deterministic points and the trace hash stays a pure function of the
-  // seed. The compaction-heavy mix shrinks these so chains grow and collapse many
-  // times per run.
+  // Delta-checkpoint thresholds forwarded to the engine (Database mode only). Every
+  // harness checkpoint is a synchronous Checkpoint() call on the harness thread, and
+  // the engine compacts on the thread that ran the crossing checkpoint, so
+  // compaction runs at deterministic points and the trace hash stays a pure
+  // function of the seed. The compaction-heavy mix shrinks these so chains grow and
+  // collapse many times per run.
   std::uint64_t compact_after_deltas = 8;
   double compact_delta_base_ratio = 0.5;
 

@@ -107,7 +107,6 @@ TEST_F(BackupTest, BackupCopiesLiveDeltaChainWhole) {
   // not even exist) or only the base would quietly drop committed churn.
   DatabaseOptions live_options = Options("live");
   live_options.delta_checkpoint.enabled = true;
-  live_options.delta_checkpoint.background_compaction = false;
   live_options.delta_checkpoint.compact_after_deltas = 1000;  // keep the chain live
   live_options.delta_checkpoint.compact_delta_base_ratio = 0;
 
@@ -149,6 +148,55 @@ TEST_F(BackupTest, BackupCopiesLiveDeltaChainWhole) {
   auto db = Database::Open(restored, restored_options);
   ASSERT_TRUE(db.ok()) << db.status();
   EXPECT_EQ(restored.state, expected);
+}
+
+// A crash after the switch to generation 2 committed, where the cleanup's unlinks of
+// generation 1 reached the disk but the unlink of `version` did not, leaves
+// version=1 next to newversion=2. The restart rule reads `newversion` first, and both
+// backups must resolve the generation Open recovers. (A real file system can commit
+// unlinks one at a time; SimFs makes them durable together at the next directory
+// sync, so the test writes the two version files by hand.)
+TEST_F(BackupTest, BackupFollowsRestartRuleAfterPartialSwitchCleanup) {
+  DatabaseOptions options = Options("live");
+  options.delta_checkpoint.compact_after_deltas = 1000;  // keep the chain live
+  options.delta_checkpoint.compact_delta_base_ratio = 0;
+  std::map<std::string, std::string> expected;
+  {
+    sim::KvApp app;
+    auto db = *Database::Open(app, options);
+    ASSERT_TRUE(db->Update(app.PreparePut("a", "a-v1")).ok());
+    ASSERT_TRUE(db->Update(app.PreparePut("b", "b-v1")).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());  // delta2 over checkpoint1; switch to 2
+    ASSERT_TRUE(db->Update(app.PreparePut("tail", "t-v1")).ok());  // in logfile2
+    expected = app.state;
+  }
+  ASSERT_TRUE(WriteWholeFile(env_->fs(), "live/version", AsSpan(std::string_view("1"))).ok());
+  ASSERT_TRUE(
+      WriteWholeFile(env_->fs(), "live/newversion", AsSpan(std::string_view("2"))).ok());
+  ASSERT_TRUE(env_->fs().SyncDir("live").ok());
+  for (const char* path : {"live/checkpoint1", "live/delta2", "live/manifest", "live/logfile2"}) {
+    ASSERT_TRUE(*env_->fs().Exists(path)) << path;
+  }
+  ASSERT_FALSE(*env_->fs().Exists("live/logfile1"));
+
+  auto backup = BackupDatabaseDir(env_->fs(), "live", env_->fs(), "backup");
+  ASSERT_TRUE(backup.ok()) << backup.status();
+  EXPECT_EQ(backup->version, 2u);
+  auto incremental = IncrementalBackupDatabaseDir(env_->fs(), "live", env_->fs(), "refresh");
+  ASSERT_TRUE(incremental.ok()) << incremental.status();
+  EXPECT_EQ(incremental->info.version, 2u);
+
+  for (std::string dir : {"backup", "refresh"}) {
+    ASSERT_TRUE(RestoreDatabaseDir(env_->fs(), dir, env_->fs(), dir + "-restored").ok());
+    sim::KvApp restored;
+    auto db = Database::Open(restored, Options(dir + "-restored"));
+    ASSERT_TRUE(db.ok()) << dir << ": " << db.status();
+    EXPECT_EQ(restored.state, expected) << dir;
+  }
+  sim::KvApp recovered;
+  auto db = Database::Open(recovered, options);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(recovered.state, expected);
 }
 
 TEST_F(BackupTest, IncrementalBackupCopiesOnlyTheLog) {

@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "src/core/integrity.h"
+#include "src/core/sharded.h"
 #include "src/sim/fault_schedule.h"
 #include "src/sim/kv_app.h"
 #include "src/storage/sim_env.h"
@@ -665,27 +666,63 @@ INSTANTIATE_TEST_SUITE_P(AllThreadCounts, ParallelRecoveryCrashMatrixTest,
 //
 // ISSUE 9: with delta checkpoints enabled, a checkpoint publishes a delta on top of
 // the chain, and the checkpoint that crosses the compaction threshold additionally
-// rewrites the chain inline before returning: compose(base ∘ deltas) -> write a full
-// checkpoint at the chain top -> retire the manifest (the commit point) -> reclaim
-// the old base and deltas. This matrix brackets that compacting checkpoint's
-// durable-op window with a dry run, then crashes at EVERY op inside it, for every
-// failure flavour, plus a transient pass (the process survives the fault, keeps
-// committing, and only then loses power). After each reopen the acknowledged state
-// must be exact and the directory must verify healthy.
+// rewrites the chain before returning: compose(base ∘ deltas) -> write a full
+// checkpoint at the chain top -> publish it (the commit point) -> reclaim the old
+// base and deltas. This matrix brackets that compacting checkpoint's durable-op
+// window with a dry run, then crashes at EVERY op inside it, for every failure
+// flavour, plus a transient pass (the process survives the fault, keeps committing,
+// and only then loses power). After each reopen the acknowledged state must be exact.
+//
+// Both engines run it: a Database (the version switch; its directory must then
+// verify healthy) and a one-shard ensemble driven through Update(0, ...) and
+// Checkpoint(0) (the manifest rename; VerifyDatabaseDir does not read ensembles, so
+// it is reopened a second time instead).
 
-DatabaseOptions DeltaChainOptions(SimEnv& env) {
-  DatabaseOptions options;
-  options.vfs = &env.fs();
-  options.dir = "db";
-  options.clock = &env.clock();
-  options.delta_checkpoint.enabled = true;
-  // Inline compaction: the compacting checkpoint's durable ops form one
-  // deterministic window the dry run can bracket.
-  options.delta_checkpoint.background_compaction = false;
-  options.delta_checkpoint.compact_after_deltas = 2;
-  options.delta_checkpoint.compact_delta_base_ratio = 0;  // size trigger off
-  return options;
-}
+// The ensemble flavours of the parameter: a FaultAction plus this bit, so the
+// Database flavours keep their parameter values.
+constexpr int kEnsembleChain = 16;
+
+// The engine under test: a Database, or a one-shard ensemble's shard 0.
+struct ChainEngine {
+  std::unique_ptr<Database> db;
+  std::unique_ptr<ShardedDatabase> ensemble;
+
+  static Result<ChainEngine> Open(SimEnv& env, bool ensemble, sim::KvApp& app) {
+    DeltaCheckpointOptions delta;
+    delta.enabled = true;
+    delta.compact_after_deltas = 2;
+    delta.compact_delta_base_ratio = 0;  // size trigger off
+    ChainEngine engine;
+    if (ensemble) {
+      ShardedOptions options;
+      options.vfs = &env.fs();
+      options.dir = "db";
+      options.clock = &env.clock();
+      options.recovery_threads = 1;
+      options.delta_checkpoint = delta;
+      SDB_ASSIGN_OR_RETURN(engine.ensemble, ShardedDatabase::Open({&app}, options));
+    } else {
+      DatabaseOptions options;
+      options.vfs = &env.fs();
+      options.dir = "db";
+      options.clock = &env.clock();
+      options.delta_checkpoint = delta;
+      SDB_ASSIGN_OR_RETURN(engine.db, Database::Open(app, options));
+    }
+    return engine;
+  }
+
+  // Where the engine keeps a chain file: "checkpoint3" -> db/checkpoint3 or
+  // db/p0.checkpoint3.
+  static std::string File(bool ensemble, const std::string& name) {
+    return (ensemble ? "db/p0." : "db/") + name;
+  }
+
+  Status Update(const std::function<Result<Bytes>()>& prepare) {
+    return db != nullptr ? db->Update(prepare) : ensemble->Update(0, prepare);
+  }
+  Status Checkpoint() { return db != nullptr ? db->Checkpoint() : ensemble->Checkpoint(0); }
+};
 
 struct DeltaFailedOp {
   std::string key;
@@ -704,19 +741,16 @@ struct DeltaWindowResult {
 // delta2 ∘ delta3 the moment the bracketed call crosses the threshold), then more
 // updates after the window. Overwrites, a blind delete and fresh keys make the
 // composed state differ from every individual chain level.
-DeltaWindowResult RunDeltaChainScript(SimEnv& env) {
+DeltaWindowResult RunDeltaChainScript(SimEnv& env, bool ensemble) {
   DeltaWindowResult result;
   sim::KvApp app;
-  DatabaseOptions options = DeltaChainOptions(env);
-
-  auto db_or = Database::Open(app, options);
-  if (!db_or.ok()) {
+  Result<ChainEngine> engine = ChainEngine::Open(env, ensemble, app);
+  if (!engine.ok()) {
     return result;
   }
-  std::unique_ptr<Database> db = std::move(*db_or);
 
   auto put = [&](const std::string& key, const std::string& value) {
-    if (db->Update(app.PreparePut(key, value)).ok()) {
+    if (engine->Update(app.PreparePut(key, value)).ok()) {
       result.model.insert_or_assign(key, value);
     } else {
       result.failed.push_back({key, value});
@@ -726,11 +760,11 @@ DeltaWindowResult RunDeltaChainScript(SimEnv& env) {
   put("a", "a-v1");
   put("b", "b-v1");
   put("hot", "hot-v1");
-  if (!db->Checkpoint().ok()) {  // publishes delta2; before the bracketed window
+  if (!engine->Checkpoint().ok()) {  // publishes delta2; before the bracketed window
     return result;
   }
   put("a", "a-v2");
-  if (db->Update(app.PrepareDelete("b")).ok()) {
+  if (engine->Update(app.PrepareDelete("b")).ok()) {
     result.model.erase("b");
   } else {
     // Unreachable in this matrix (every fault fires inside the window below); if it
@@ -741,9 +775,9 @@ DeltaWindowResult RunDeltaChainScript(SimEnv& env) {
   put("hot", "hot-v2");
 
   // The bracketed call: publishes delta3 (chain length 2) and, having crossed
-  // compact_after_deltas = 2, compacts the chain inline before returning.
+  // compact_after_deltas = 2, compacts the chain before returning.
   result.window_first = env.disk().next_durable_op_sequence();
-  result.checkpoint2_ok = db->Checkpoint().ok();
+  result.checkpoint2_ok = engine->Checkpoint().ok();
   result.window_last = env.disk().next_durable_op_sequence() - 1;
 
   put("post1", "post1-v1");
@@ -752,58 +786,67 @@ DeltaWindowResult RunDeltaChainScript(SimEnv& env) {
 }
 
 void CheckDeltaChainRecovery(SimEnv& env, const DeltaWindowResult& script,
-                             std::uint64_t crash_at) {
+                             std::uint64_t crash_at, bool ensemble) {
   env.disk().SetFaultInjector(nullptr);
   env.fs().Crash();
   ASSERT_TRUE(env.fs().Recover().ok());
 
-  sim::KvApp recovered;
-  DatabaseOptions options = DeltaChainOptions(env);
-  auto db = Database::Open(recovered, options);
-  ASSERT_TRUE(db.ok()) << "recovery failed after crash at op " << crash_at << ": "
-                       << db.status();
+  // An ensemble reopens twice: the second open proves the first one's sweep kept
+  // every live chain file (the Database's directory is verified instead).
+  for (int open = 0; open < (ensemble ? 2 : 1); ++open) {
+    sim::KvApp recovered;
+    Result<ChainEngine> engine = ChainEngine::Open(env, ensemble, recovered);
+    ASSERT_TRUE(engine.ok()) << "recovery " << open << " failed after crash at op "
+                             << crash_at << ": " << engine.status();
 
-  // Invariant 1: the acknowledged state is reproduced exactly — base ∘ deltas + log
-  // replay must compose to the model, whichever chain files the crash left behind.
-  for (const auto& [key, value] : script.model) {
-    auto it = recovered.state.find(key);
-    ASSERT_NE(it, recovered.state.end())
-        << "acknowledged update " << key << " lost (crash at op " << crash_at << ")";
-    EXPECT_EQ(it->second, value) << "key " << key << " (crash at op " << crash_at << ")";
-  }
-  // Invariant 2: a failed put (all on fresh keys in this script) is all-or-nothing.
-  for (const DeltaFailedOp& op : script.failed) {
-    auto it = recovered.state.find(op.key);
-    if (it != recovered.state.end()) {
-      EXPECT_EQ(it->second, op.new_value)
-          << "unacknowledged update " << op.key << " mangled (crash at op " << crash_at
-          << ")";
+    // Invariant 1: the acknowledged state is reproduced exactly — base ∘ deltas +
+    // log replay must compose to the model, whichever chain files the crash left.
+    for (const auto& [key, value] : script.model) {
+      auto it = recovered.state.find(key);
+      ASSERT_NE(it, recovered.state.end())
+          << "acknowledged update " << key << " lost (crash at op " << crash_at << ")";
+      EXPECT_EQ(it->second, value) << "key " << key << " (crash at op " << crash_at << ")";
     }
-  }
-  // Invariant 3: nothing else crept in.
-  for (const auto& [key, value] : recovered.state) {
-    bool known = script.model.count(key) != 0;
+    // Invariant 2: a failed put (all on fresh keys in this script) is all-or-nothing.
     for (const DeltaFailedOp& op : script.failed) {
-      known = known || op.key == key;
+      auto it = recovered.state.find(op.key);
+      if (it != recovered.state.end()) {
+        EXPECT_EQ(it->second, op.new_value)
+            << "unacknowledged update " << op.key << " mangled (crash at op " << crash_at
+            << ")";
+      }
     }
-    EXPECT_TRUE(known) << "stray key " << key << " (crash at op " << crash_at << ")";
+    // Invariant 3: nothing else crept in.
+    for (const auto& [key, value] : recovered.state) {
+      bool known = script.model.count(key) != 0;
+      for (const DeltaFailedOp& op : script.failed) {
+        known = known || op.key == key;
+      }
+      EXPECT_TRUE(known) << "stray key " << key << " (crash at op " << crash_at << ")";
+    }
   }
 
   // Invariant 4: whatever mix of chain files survived, the reopened directory
   // verifies healthy — recovery either kept a coherent chain or swept it.
-  auto report = VerifyDatabaseDir(env.fs(), "db");
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->healthy()) << "unhealthy directory after crash at op " << crash_at;
+  if (!ensemble) {
+    auto report = VerifyDatabaseDir(env.fs(), "db");
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->healthy()) << "unhealthy directory after crash at op " << crash_at;
+  }
 
-  // And the recovered database takes new updates.
-  ASSERT_TRUE((*db)->Update(recovered.PreparePut("post-recovery", "works")).ok());
+  // And the recovered engine takes new updates.
+  sim::KvApp recovered;
+  Result<ChainEngine> engine = ChainEngine::Open(env, ensemble, recovered);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ASSERT_TRUE(engine->Update(recovered.PreparePut("post-recovery", "works")).ok());
   EXPECT_EQ(recovered.state["post-recovery"], "works");
 }
 
 class DeltaCompactionCrashTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DeltaCompactionCrashTest, EveryDurableOpOfPublishAndCompactionIsCrashSafe) {
-  FaultAction action = static_cast<FaultAction>(GetParam());
+  const bool ensemble = (GetParam() & kEnsembleChain) != 0;
+  FaultAction action = static_cast<FaultAction>(GetParam() & ~kEnsembleChain);
 
   // Dry run: bracket the window and prove it really contains a full compaction.
   std::uint64_t window_first = 0;
@@ -812,21 +855,21 @@ TEST_P(DeltaCompactionCrashTest, EveryDurableOpOfPublishAndCompactionIsCrashSafe
     SimEnvOptions env_options;
     env_options.microvax_cost_model = false;
     SimEnv dry_env(env_options);
-    DeltaWindowResult dry = RunDeltaChainScript(dry_env);
+    DeltaWindowResult dry = RunDeltaChainScript(dry_env, ensemble);
     ASSERT_TRUE(dry.checkpoint2_ok);
     ASSERT_TRUE(dry.failed.empty());
     // Compaction completed inside the bracketed call: the composed checkpoint sits
-    // at the chain top, the manifest is retired, and the old levels are reclaimed.
-    ASSERT_TRUE(*dry_env.fs().Exists("db/checkpoint3"));
-    ASSERT_FALSE(*dry_env.fs().Exists("db/manifest"));
-    ASSERT_FALSE(*dry_env.fs().Exists("db/checkpoint1"));
-    ASSERT_FALSE(*dry_env.fs().Exists("db/delta2"));
-    ASSERT_FALSE(*dry_env.fs().Exists("db/delta3"));
+    // at the chain top and the old levels are reclaimed (and a Database retired its
+    // manifest; an ensemble's manifest also binds its log).
+    ASSERT_TRUE(*dry_env.fs().Exists(ChainEngine::File(ensemble, "checkpoint3")));
+    ASSERT_FALSE(*dry_env.fs().Exists(ChainEngine::File(ensemble, "checkpoint1")));
+    ASSERT_FALSE(*dry_env.fs().Exists(ChainEngine::File(ensemble, "delta2")));
+    ASSERT_FALSE(*dry_env.fs().Exists(ChainEngine::File(ensemble, "delta3")));
+    ASSERT_EQ(*dry_env.fs().Exists("db/manifest"), ensemble);
     window_first = dry.window_first;
     window_last = dry.window_last;
-    // Delta write+sync, manifest publish (tmp write, rename, dir sync), the log
-    // switch, the compaction rewrite, the manifest retire and the reclaim deletes
-    // all sit inside the window.
+    // Delta write+sync, the publish, the compaction rewrite, its publish and the
+    // reclaim all sit inside the window.
     ASSERT_GE(window_last - window_first + 1, 8u);
   }
 
@@ -840,79 +883,88 @@ TEST_P(DeltaCompactionCrashTest, EveryDurableOpOfPublishAndCompactionIsCrashSafe
     CrashPlan plan(crash_at, action);
     env.disk().SetFaultInjector(plan.AsInjector());
 
-    DeltaWindowResult script = RunDeltaChainScript(env);
+    DeltaWindowResult script = RunDeltaChainScript(env, ensemble);
     EXPECT_TRUE(plan.fired());
 
-    CheckDeltaChainRecovery(env, script, crash_at);
+    CheckDeltaChainRecovery(env, script, crash_at, ensemble);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ChainFaultFlavours, DeltaCompactionCrashTest,
-                         ::testing::Values(static_cast<int>(FaultAction::kCrashBefore),
-                                           static_cast<int>(FaultAction::kCrashTorn),
-                                           static_cast<int>(FaultAction::kCrashAfter)),
-                         [](const ::testing::TestParamInfo<int>& param_info) {
-                           switch (static_cast<FaultAction>(param_info.param)) {
-                             case FaultAction::kCrashBefore:
-                               return std::string("Before");
-                             case FaultAction::kCrashTorn:
-                               return std::string("Torn");
-                             case FaultAction::kCrashAfter:
-                               return std::string("After");
-                             default:
-                               return std::string("None");
-                           }
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    ChainFaultFlavours, DeltaCompactionCrashTest,
+    ::testing::Values(static_cast<int>(FaultAction::kCrashBefore),
+                      static_cast<int>(FaultAction::kCrashTorn),
+                      static_cast<int>(FaultAction::kCrashAfter),
+                      kEnsembleChain | static_cast<int>(FaultAction::kCrashBefore),
+                      kEnsembleChain | static_cast<int>(FaultAction::kCrashTorn),
+                      kEnsembleChain | static_cast<int>(FaultAction::kCrashAfter)),
+    [](const ::testing::TestParamInfo<int>& param_info) {
+      std::string engine = (param_info.param & kEnsembleChain) != 0 ? "Ensemble" : "";
+      switch (static_cast<FaultAction>(param_info.param & ~kEnsembleChain)) {
+        case FaultAction::kCrashBefore:
+          return engine + "Before";
+        case FaultAction::kCrashTorn:
+          return engine + "Torn";
+        case FaultAction::kCrashAfter:
+          return engine + "After";
+        default:
+          return engine + "None";
+      }
+    });
 
 TEST(DeltaCompactionCrashTest, TransientFaultThenPowerCutIsSafeAtEveryChainOp) {
   // The process survives a transient write fault at each durable op of the window —
   // a failed delta publication aborts cleanly, a failed compaction only logs (the
   // checkpoint that triggered it still commits) — keeps committing, then loses
-  // power. Recovery must land the same invariants at every fault point.
-  std::uint64_t window_first = 0;
-  std::uint64_t window_last = 0;
-  {
-    SimEnvOptions env_options;
-    env_options.microvax_cost_model = false;
-    SimEnv dry_env(env_options);
-    DeltaWindowResult dry = RunDeltaChainScript(dry_env);
-    ASSERT_TRUE(dry.checkpoint2_ok);
-    window_first = dry.window_first;
-    window_last = dry.window_last;
-  }
-
-  int compaction_faults = 0;  // faults the checkpoint survived (landed in compaction)
-  for (std::uint64_t crash_at = window_first; crash_at <= window_last; ++crash_at) {
-    SCOPED_TRACE("transient fault at chain op " + std::to_string(crash_at) +
-                 " (window " + std::to_string(window_first) + ".." +
-                 std::to_string(window_last) + ")");
-    SimEnvOptions env_options;
-    env_options.microvax_cost_model = false;
-    SimEnv env(env_options);
-    sim::ScriptedFaultSchedule schedule(
-        {sim::FaultPoint{crash_at, FaultAction::kTransientError, /*read_op=*/false,
-                         /*metadata_only=*/false}});
-    env.disk().SetFaultInjector(schedule.AsInjector());
-
-    DeltaWindowResult script = RunDeltaChainScript(env);
-    EXPECT_EQ(schedule.fired_count(), 1);
-    if (script.checkpoint2_ok) {
-      // The fault landed inside the inline compaction, which must never fail the
-      // checkpoint that triggered it — the chain stays live until a later attempt.
-      ++compaction_faults;
+  // power. Recovery must land the same invariants at every fault point, on both
+  // engines.
+  for (bool ensemble : {false, true}) {
+    SCOPED_TRACE(ensemble ? "one-shard ensemble" : "database");
+    std::uint64_t window_first = 0;
+    std::uint64_t window_last = 0;
+    {
+      SimEnvOptions env_options;
+      env_options.microvax_cost_model = false;
+      SimEnv dry_env(env_options);
+      DeltaWindowResult dry = RunDeltaChainScript(dry_env, ensemble);
+      ASSERT_TRUE(dry.checkpoint2_ok);
+      window_first = dry.window_first;
+      window_last = dry.window_last;
     }
 
-    CheckDeltaChainRecovery(env, script, crash_at);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
+    int compaction_faults = 0;  // faults the checkpoint survived (landed in compaction)
+    for (std::uint64_t crash_at = window_first; crash_at <= window_last; ++crash_at) {
+      SCOPED_TRACE("transient fault at chain op " + std::to_string(crash_at) +
+                   " (window " + std::to_string(window_first) + ".." +
+                   std::to_string(window_last) + ")");
+      SimEnvOptions env_options;
+      env_options.microvax_cost_model = false;
+      SimEnv env(env_options);
+      sim::ScriptedFaultSchedule schedule(
+          {sim::FaultPoint{crash_at, FaultAction::kTransientError, /*read_op=*/false,
+                           /*metadata_only=*/false}});
+      env.disk().SetFaultInjector(schedule.AsInjector());
+
+      DeltaWindowResult script = RunDeltaChainScript(env, ensemble);
+      EXPECT_EQ(schedule.fired_count(), 1);
+      if (script.checkpoint2_ok) {
+        // The fault landed inside the compaction, which must never fail the
+        // checkpoint that triggered it — the chain stays live until a later attempt.
+        ++compaction_faults;
+      }
+
+      CheckDeltaChainRecovery(env, script, crash_at, ensemble);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
     }
+    // The sweep must actually have hit compaction's own durable ops, not only the
+    // delta publication in front of them.
+    EXPECT_GE(compaction_faults, 3);
   }
-  // The sweep must actually have hit compaction's own durable ops, not only the
-  // delta publication in front of them.
-  EXPECT_GE(compaction_faults, 3);
 }
 
 TEST(CrashMatrixDoubleFailureTest, CrashDuringRecoveryIsAlsoSafe) {

@@ -4,9 +4,12 @@
 // recovery at every recovery_threads count, single-DB and sharded.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +22,36 @@
 
 namespace sdb {
 namespace {
+
+// Forwarding Vfs that shows every successful Open to `on_open`: tests use it to see
+// which file a checkpoint persist is writing, and when.
+class OpenHookVfs final : public Vfs {
+ public:
+  explicit OpenHookVfs(Vfs& base) : base_(base) {}
+
+  std::function<void(std::string_view path, OpenMode mode)> on_open;
+
+  Result<std::unique_ptr<File>> Open(std::string_view path, OpenMode mode) override {
+    Result<std::unique_ptr<File>> file = base_.Open(path, mode);
+    if (file.ok() && on_open) {
+      on_open(path, mode);
+    }
+    return file;
+  }
+  Status Delete(std::string_view path) override { return base_.Delete(path); }
+  Status Rename(std::string_view from, std::string_view to) override {
+    return base_.Rename(from, to);
+  }
+  Result<bool> Exists(std::string_view path) override { return base_.Exists(path); }
+  Result<std::vector<std::string>> List(std::string_view dir) override {
+    return base_.List(dir);
+  }
+  Status CreateDir(std::string_view path) override { return base_.CreateDir(path); }
+  Status SyncDir(std::string_view dir) override { return base_.SyncDir(dir); }
+
+ private:
+  Vfs& base_;
+};
 
 class DeltaCheckpointTest : public ::testing::Test {
  protected:
@@ -35,7 +68,6 @@ class DeltaCheckpointTest : public ::testing::Test {
     options.dir = std::move(dir);
     options.clock = &env_->clock();
     options.delta_checkpoint.enabled = true;
-    options.delta_checkpoint.background_compaction = false;
     options.delta_checkpoint.compact_after_deltas = 1000;
     options.delta_checkpoint.compact_delta_base_ratio = 0;
     return options;
@@ -126,28 +158,27 @@ TEST_F(DeltaCheckpointTest, DeltaBytesRatioAlsoTriggersCompaction) {
 
 TEST_F(DeltaCheckpointTest, BackgroundCompactionCollapsesChainByClose) {
   DatabaseOptions options = Options();
-  options.delta_checkpoint.background_compaction = true;
+  // Every update triggers an automatic checkpoint, whose persist — and the
+  // compaction a crossing delta runs — happens on the background thread.
+  options.checkpoint_policy.every_n_updates = 1;
   options.delta_checkpoint.compact_after_deltas = 2;
 
   {
     sim::KvApp app;
     auto db = *Database::Open(app, options);
     ASSERT_TRUE(Put(*db, app, "a", "a-v1").ok());
-    ASSERT_TRUE(db->Checkpoint().ok());
-    ASSERT_TRUE(Put(*db, app, "a", "a-v2").ok());
-    ASSERT_TRUE(db->Checkpoint().ok());  // schedules the compactor thread
+    ASSERT_TRUE(Put(*db, app, "a", "a-v2").ok());  // its delta crosses the threshold
     for (int i = 0; i < 4; ++i) {
       ASSERT_TRUE(Put(*db, app, "k" + std::to_string(i), "v").ok());
-      ASSERT_TRUE(db->Checkpoint().ok());
     }
-    // A compaction was certainly scheduled (the chain crossed the threshold more
-    // than once); wait for the single-flight compactor to land at least one run.
+    // The chain crossed the threshold more than once; wait for a background persist
+    // to land at least one compaction.
     obs::Counter& runs = db->metrics().GetCounter("compaction.runs");
     for (int i = 0; i < 5000 && runs.value() == 0; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     EXPECT_GE(runs.value(), 1u);
-    // Destruction joins any in-flight compactor thread before closing the slot.
+    // Destruction waits for an in-flight persist and its compaction.
   }
   sim::KvApp recovered;
   auto db = Database::Open(recovered, options);
@@ -247,11 +278,12 @@ TEST_F(DeltaCheckpointTest, ChainRecoveryByteIdenticalToFullAtEveryThreadCount) 
 }
 
 // Named *Concurrent* so CI's TSan gtest filter runs it: writer threads race the
-// checkpoint/compaction pipeline with background_compaction on, then a reopen
-// proves no acknowledged update was lost by a delta capture or a chain collapse.
+// checkpoint/compaction pipeline — automatic checkpoints persisting and compacting
+// on the background thread, manual ones on this thread — then a reopen proves no
+// acknowledged update was lost by a delta capture or a chain collapse.
 TEST_F(DeltaCheckpointTest, ConcurrentWritersWithBackgroundCompaction) {
   DatabaseOptions options = Options();
-  options.delta_checkpoint.background_compaction = true;
+  options.checkpoint_policy.every_n_updates = 8;
   options.delta_checkpoint.compact_after_deltas = 2;
 
   constexpr int kThreads = 4;
@@ -296,6 +328,51 @@ TEST_F(DeltaCheckpointTest, ConcurrentWritersWithBackgroundCompaction) {
   auto report = VerifyDatabaseDir(env_->fs(), "db");
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->healthy());
+}
+
+// Named *Concurrent* for CI's TSan filter: destroying a Database while its
+// handed-off automatic checkpoint is still writing a delta and compacting must wait
+// for that persist, never cut it short or race it. Every round's reopen recovers
+// every acknowledged update from a healthy directory.
+TEST_F(DeltaCheckpointTest, ConcurrentDestroyWhileAutoCheckpointPersists) {
+  OpenHookVfs vfs(env_->fs());
+  // Slow every delta and checkpoint file write so each destroy lands mid-persist.
+  vfs.on_open = [](std::string_view path, OpenMode mode) {
+    if (mode != OpenMode::kRead && (path.find("delta") != std::string_view::npos ||
+                                    path.find("checkpoint") != std::string_view::npos)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  };
+  DatabaseOptions options = Options();
+  options.vfs = &vfs;
+  options.checkpoint_policy.every_n_updates = 2;
+  options.delta_checkpoint.compact_after_deltas = 1;  // every delta compacts
+
+  std::map<std::string, std::string> acknowledged;
+  int destroyed_mid_persist = 0;
+  for (int round = 0; round < 20; ++round) {
+    {
+      sim::KvApp app;
+      auto db = *Database::Open(app, options);
+      for (int i = 0; i < 2; ++i) {  // the second update triggers the checkpoint
+        std::string key = "r" + std::to_string(round) + "-k" + std::to_string(i);
+        ASSERT_TRUE(Put(*db, app, key, "v-" + key).ok());
+        acknowledged[key] = "v-" + key;
+      }
+      destroyed_mid_persist += db->metrics().GetGauge("checkpoint.in_progress").value();
+    }
+    sim::KvApp recovered;
+    auto db = Database::Open(recovered, options);
+    ASSERT_TRUE(db.ok()) << "round " << round << ": " << db.status();
+    for (const auto& [key, value] : acknowledged) {
+      ASSERT_EQ(recovered.state[key], value) << "round " << round << ": " << key << " lost";
+    }
+    db->reset();
+    auto report = VerifyDatabaseDir(env_->fs(), "db");
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report->healthy()) << "round " << round;
+  }
+  EXPECT_GT(destroyed_mid_persist, 0);
 }
 
 // --- sharded: per-shard chains behind the shared log ---
@@ -468,6 +545,157 @@ TEST_F(ShardedDeltaTest, ShardedConcurrentUpdatesDeltaCheckpointsAndCompaction) 
   for (const std::string& key : acknowledged) {
     ASSERT_EQ(MergedState().count(key), 1u) << "acknowledged update " << key << " lost";
   }
+}
+
+// Named *Concurrent* for CI's TSan filter: CheckpointAll hands each shard's persist
+// (and the compaction its delta triggers) to that shard's background thread while
+// the next shard stalls, yet the persists reach the disk one shard at a time, in
+// shard order, with writers racing throughout.
+TEST_F(ShardedDeltaTest, ShardedConcurrentCheckpointAllHandsOffInShardOrder) {
+  OpenHookVfs vfs(env_->fs());
+  std::mutex order_mu;
+  std::vector<int> shard_order;  // the shard of every p<i>.* file a persist opens
+  vfs.on_open = [&](std::string_view path, OpenMode mode) {
+    std::size_t name = path.rfind("/p");
+    if (mode != OpenMode::kRead && name != std::string_view::npos) {
+      std::lock_guard<std::mutex> lock(order_mu);
+      shard_order.push_back(path[name + 2] - '0');
+    }
+  };
+  ShardedOptions options = Options();
+  options.vfs = &vfs;
+  options.delta_checkpoint.compact_after_deltas = 2;
+
+  auto db = *OpenEnsemble(4, options);
+  std::atomic<bool> stop{false};
+  std::atomic<int> writer_failures{0};
+  std::thread writer([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      std::string key = "w" + std::to_string(i % 64);
+      std::size_t p = db->ShardForKey(key);
+      if (!db->UpdateKey(key, apps_[p]->PreparePut(key, std::to_string(i))).ok()) {
+        ++writer_failures;
+      }
+    }
+  });
+  for (int round = 0; round < 4; ++round) {
+    for (int p = 0; p < 4; ++p) {  // every shard has churn to write as a delta
+      EXPECT_TRUE(db->Update(p, apps_[p]->PreparePut("s" + std::to_string(p),
+                                                     std::to_string(round)))
+                      .ok());
+    }
+    {
+      std::lock_guard<std::mutex> lock(order_mu);
+      shard_order.clear();
+    }
+    EXPECT_TRUE(db->CheckpointAll().ok());
+    std::lock_guard<std::mutex> lock(order_mu);
+    EXPECT_EQ(shard_order.front(), 0);
+    EXPECT_EQ(shard_order.back(), 3);
+    EXPECT_TRUE(std::is_sorted(shard_order.begin(), shard_order.end()))
+        << "round " << round << ": shard persists interleaved on disk";
+  }
+  stop = true;
+  writer.join();
+  EXPECT_EQ(writer_failures.load(), 0);
+  for (int p = 0; p < 4; ++p) {
+    // Two deltas per shard crossed compact_after_deltas twice: the hand-off
+    // threads compacted before CheckpointAll returned.
+    EXPECT_EQ(db->shard_metrics(p).GetCounter("compaction.runs").value(), 2u) << p;
+  }
+  std::map<std::string, std::string> final_state = MergedState();
+  db.reset();
+  auto reopened = OpenEnsemble(4, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(MergedState(), final_state);
+}
+
+// A unit's checkpoint metrics: every checkpoint.* and compaction.* name plus the two
+// failure counters, with counter and gauge values and histogram sample counts.
+std::map<std::string, std::int64_t> CheckpointMetrics(const obs::Registry& registry) {
+  std::map<std::string, std::int64_t> out;
+  std::istringstream lines(registry.DumpText());
+  std::string name;
+  std::string rest;
+  while (lines >> name && std::getline(lines, rest)) {
+    if (name.rfind("checkpoint.", 0) != 0 && name.rfind("compaction.", 0) != 0 &&
+        name != "db.checkpoint_failures" && name != "db.compaction_failures") {
+      continue;
+    }
+    if (const obs::Histogram* histogram = registry.FindHistogram(name)) {
+      out[name] = static_cast<std::int64_t>(histogram->count());
+    } else if (const obs::Counter* counter = registry.FindCounter(name)) {
+      out[name] = static_cast<std::int64_t>(counter->value());
+    } else {
+      out[name] = registry.FindGauge(name)->value();
+    }
+  }
+  return out;
+}
+
+// One script through a Database and through a one-shard ensemble: two delta
+// checkpoints (the second compacts the chain) and a third whose delta file write
+// hits a transient disk error. Both engines run the same unit, so they must report
+// the same checkpoint metrics and clean up the failed file alike.
+TEST_F(ShardedDeltaTest, BothEnginesReportTheSameCheckpointMetricsAndFailures) {
+  OpenHookVfs vfs(env_->fs());
+  std::string failing_path;
+  vfs.on_open = [&](std::string_view path, OpenMode mode) {
+    if (mode == OpenMode::kRead || path != failing_path) {
+      return;
+    }
+    // The next page to reach the disk is this file's: fail it without crashing.
+    auto fired = std::make_shared<bool>(false);
+    env_->disk().SetFaultInjector([fired](const DurableOp& op) {
+      if (op.kind != DurableOp::Kind::kPageWrite || *fired) {
+        return FaultAction::kNone;
+      }
+      *fired = true;
+      return FaultAction::kTransientError;
+    });
+  };
+  auto script = [&](const std::function<Status(std::string, std::string)>& put,
+                    const std::function<Status()>& checkpoint, const std::string& delta4) {
+    ASSERT_TRUE(put("a", "a-v1").ok());
+    ASSERT_TRUE(put("b", "b-v1").ok());
+    ASSERT_TRUE(checkpoint().ok());  // delta2
+    ASSERT_TRUE(put("a", "a-v2").ok());
+    ASSERT_TRUE(put("c", "c-v1").ok());
+    ASSERT_TRUE(checkpoint().ok());  // delta3, then compaction into checkpoint3
+    ASSERT_TRUE(put("d", "d-v1").ok());
+    failing_path = delta4;
+    EXPECT_FALSE(checkpoint().ok());
+    failing_path.clear();
+    env_->disk().SetFaultInjector(nullptr);
+    EXPECT_FALSE(Exists(delta4)) << "failed checkpoint file left behind";
+  };
+
+  DatabaseOptions db_options = DeltaCheckpointTest::Options("db");
+  db_options.vfs = &vfs;
+  db_options.delta_checkpoint.compact_after_deltas = 2;
+  sim::KvApp app;
+  auto db = *Database::Open(app, db_options);
+  script([&](std::string key, std::string value) { return Put(*db, app, key, value); },
+         [&] { return db->Checkpoint(); }, "db/delta4");
+
+  ShardedOptions ensemble_options = Options();
+  ensemble_options.vfs = &vfs;
+  ensemble_options.recovery_threads = 1;
+  ensemble_options.delta_checkpoint.compact_after_deltas = 2;
+  auto ensemble = *OpenEnsemble(1, ensemble_options);
+  script(
+      [&](std::string key, std::string value) {
+        return ensemble->Update(0, apps_[0]->PreparePut(key, value));
+      },
+      [&] { return ensemble->Checkpoint(0); }, "ensemble/p0.delta4");
+
+  std::map<std::string, std::int64_t> single = CheckpointMetrics(db->metrics());
+  EXPECT_EQ(single, CheckpointMetrics(ensemble->shard_metrics(0)));
+  EXPECT_EQ(single["db.checkpoint_failures"], 1);
+  EXPECT_EQ(single["db.compaction_failures"], 0);
+  EXPECT_EQ(single["compaction.runs"], 1);
+  EXPECT_EQ(single["checkpoint.stall_us"], 3);
+  EXPECT_EQ(single["checkpoint.total_us"], 2);
 }
 
 }  // namespace

@@ -199,7 +199,6 @@ class IntegrityChainTest : public ExtensionsTest {
   // directory holds checkpoint1 + delta2 + delta3 + a manifest.
   void BuildChain() {
     DatabaseOptions options = Options();
-    options.delta_checkpoint.background_compaction = false;
     options.delta_checkpoint.compact_after_deltas = 100;
     options.delta_checkpoint.compact_delta_base_ratio = 0;
     auto db = *Database::Open(app_, options);
